@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test chaos-smoke failover-smoke campaign-smoke shard-smoke sharded-root-smoke goldens verify-goldens bench bench-full bench-json perf-smoke profile examples figures all clean
+.PHONY: install test chaos-smoke failover-smoke campaign-smoke shard-smoke sharded-root-smoke goldens verify-goldens bench bench-full bench-json perf-smoke perfbench-smoke profile examples figures all clean
 
 install:
 	$(PY) setup.py develop
@@ -68,6 +68,15 @@ bench-json:
 # Fail if the quick Figure 8 sweep regressed >25% vs BENCH_kernel.json.
 perf-smoke:
 	PYTHONPATH=src $(PY) benchmarks/test_perf_kernel.py --smoke
+
+# Benchmark smoke: one traced optimistic_contention run of perfbench/
+# (see BENCHMARK.json).  Fails unless the run's last output line, its
+# JSON result, reports "correct": true -- which also breaks if the
+# Network / NodeInterface calls that perfbench/probes.py wraps go away.
+perfbench-smoke:
+	$(PY) perfbench/run.py --workload optimistic_contention --seed 0 --seconds 0 --trace 1 \
+	  | tee /dev/stderr | tail -n 1 \
+	  | $(PY) -c 'import json, sys; line = sys.stdin.read().strip(); sys.exit(0 if line.startswith("{") and json.loads(line).get("correct") is True else 1)'
 
 # cProfile the quick Figure 2 + Figure 8 sweeps and print the top 20
 # hot spots by cumulative time (see docs/REPRODUCING.md, Performance).

@@ -117,11 +117,11 @@ def measure_messages_per_sec_batched(
 
     The root repeatedly ships a ``train_len``-packet train to every
     other node — the shape of a sequenced write burst leaving a group
-    root.  Each (member, train) pair costs one heap event instead of
-    ``train_len``, which is where the batched figure's advantage over
-    :func:`measure_messages_per_sec` comes from; the logical message
-    count (and every ChannelStats counter) is identical to per-message
-    sends.
+    root.  Each train costs one heap event per distinct arrival
+    instant instead of one per (member, packet), which is where the
+    batched figure's advantage over :func:`measure_messages_per_sec`
+    comes from; the logical message count (and every ChannelStats
+    counter) is identical to per-message sends.
     """
     from repro.net.network import Network
     from repro.net.topology import make_topology

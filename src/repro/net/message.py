@@ -93,17 +93,15 @@ class Message:
         )
 
 
-def fire_train(train: tuple) -> None:
-    """Deliver one packet train from a single heap event.
+def fire_batch(batch: list) -> None:
+    """Deliver every ``(handler, msg)`` pair of one heap event, in order.
 
-    ``train`` is ``(handler, messages)``: the resolved per-kind delivery
-    callable for the destination and the tuple of :class:`Message`
-    objects that share one arrival time on one FIFO channel.  The
-    receiver sees exactly the per-message deliveries it would have seen
-    unbatched, in the same (sequence) order — only the number of heap
-    events differs.  Scheduled by :meth:`Network.send_fanout_train` as a
-    ``(arrival, priority, seq, fire_train, train)`` heap entry.
+    A batch holds the deliveries of one send call that share one arrival
+    instant, in the order of their sequence numbers.  The receivers see
+    exactly the per-message deliveries they would have seen unbatched;
+    only the number of heap events differs.  Scheduled by
+    :class:`~repro.net.network.Network` as an ``(arrival, 0, seq,
+    fire_batch, batch)`` heap entry.
     """
-    handler = train[0]
-    for msg in train[1]:
+    for handler, msg in batch:
         handler(msg)

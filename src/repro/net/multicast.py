@@ -119,9 +119,9 @@ class MulticastTree:
 
         Logically identical to calling :meth:`multicast` once per
         ``(payload, size)`` entry, in order — same per-packet arrival
-        times, stats, and delivery order — but consecutive packets whose
-        FIFO-clamped arrivals coincide share one heap event per member
-        (see :meth:`Network.send_fanout_train`).  This is how the root
+        times, stats, and delivery order — but all deliveries whose
+        FIFO-clamped arrivals coincide share one heap event (see
+        :meth:`Network.send_fanout_train`).  This is how the root
         ships a sequenced burst of writes without multiplying simulator
         events by the burst length.
         """

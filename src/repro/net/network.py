@@ -1,4 +1,4 @@
-"""Point-to-point message delivery with the paper's delay model.
+"""Point-to-point and multicast message delivery with the paper's delay model.
 
 A :class:`Network` owns the topology and the cost parameters.  Sending a
 message from ``a`` to ``b`` costs::
@@ -10,12 +10,20 @@ Channels are FIFO: the network never delivers message *m2* sent after
 is smaller.  Group write consistency's sequencing guarantee is built on
 this property, exactly as Sesame builds it on ordered hardware links.
 
-The send path is performance-critical (every protocol message crosses
-it), so the per-pair hop latency is memoized, delivery is scheduled by
-pushing a ``(arrival, priority, seq, handler, msg)`` entry directly
-onto the simulator's event heap (no closure or handle allocation per
-send), and the tracer check is a cached boolean rather than a property
-call.
+:meth:`Network.send` delivers one :class:`Message`.
+:meth:`Network.send_fanout` and :meth:`Network.send_fanout_train` send
+one payload, or a train of them, to many targets through one loop,
+:meth:`Network._fanout`.  Each logical message keeps its own
+:class:`Message`, stats and FIFO-clamped arrival, but the deliveries of
+one call that share an arrival instant ride ONE heap event
+(:func:`~repro.net.message.fire_batch`).  A member's arrival depends
+only on its hop count, so a multicast costs a few events, not one per
+member.  Order is unchanged: every delivery has priority 0 and one call
+owns a contiguous seq block, so nothing sorts between two deliveries of
+a batch, and anything a handler schedules gets a later seq.  Fanout
+plans cache each target's FIFO cell, hop latency and resolved handler.
+The loss model, fault injector and tracer run per message in that same
+loop; under a shard router each message goes through :meth:`send`.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from heapq import heappush
 from typing import Callable
 
 from repro.errors import NetworkError
-from repro.net.message import Message, fire_train
+from repro.net.message import Message, fire_batch
 from repro.net.topology import Topology
 from repro.params import MachineParams
 from repro.sim.event import PRIORITY_ARRIVAL_BAND
@@ -34,6 +42,10 @@ from repro.sim.kernel import Simulator
 
 #: Handler signature for delivered messages.
 Handler = Callable[[Message], None]
+#: One fanout target: ``(dst, FIFO cell, base latency, handler)``.
+PlanEntry = tuple[int, list[float], float, Handler]
+#: Initial FIFO cell value: earlier than any arrival.
+_NEVER = float("-inf")
 
 
 @dataclass(slots=True)
@@ -73,17 +85,6 @@ class ChannelStats:
         default_factory=lambda: defaultdict(int)
     )
 
-    def note(self, msg: Message, delivered: bool = True) -> None:
-        self.messages += 1
-        self.bytes += msg.size_bytes
-        self.by_kind[msg.kind] += 1
-        self.outbound[msg.src] += 1
-        if delivered:
-            self.inbound[msg.dst] += 1
-        else:
-            self.dropped += 1
-            self.dropped_inbound[msg.dst] += 1
-
     def hottest_receiver(self) -> tuple[int, int]:
         """(node, message count) of the most-loaded receiver."""
         if not self.inbound:
@@ -114,8 +115,12 @@ class Network:
         #: one dict lookup in :meth:`send`.
         self._resolvers: dict[int, Callable[[str], Handler]] = {}
         self._direct: dict[tuple[int, str], Handler] = {}
-        #: Last scheduled arrival per (src, dst) channel, for FIFO clamping.
-        self._last_arrival: dict[tuple[int, int], float] = {}
+        #: Fanout plans: ``(src, kind, targets) -> (PlanEntry, ...)``,
+        #: built from ``_direct`` and ``_base_latency`` on first use.
+        self._plans: dict[tuple[int, str, tuple[int, ...]], tuple[PlanEntry, ...]] = {}
+        #: FIFO cell per (src, dst) channel: a one-item list holding the
+        #: last scheduled arrival, shared by send() and fanout plans.
+        self._last_arrival: dict[tuple[int, int], list[float]] = {}
         #: Memoized ``hops * hop_latency`` per (src, dst) pair, so the
         #: delay model is a dict lookup plus one serialization division.
         self._base_latency: dict[tuple[int, int], float] = {}
@@ -123,9 +128,8 @@ class Network:
         self._hop_latency = params.hop_latency
         #: Deliveries are fire-and-forget (nothing cancels an in-flight
         #: message) and the arrival time is provably >= now, so sends
-        #: push ``(arrival, prio, seq, handler, msg)`` entries straight
-        #: onto the event heap: no Event handle, no past-check, and no
-        #: per-send ``partial`` allocation.
+        #: push heap entries directly: no Event handle, no past-check,
+        #: and no per-send ``partial`` allocation.
         self._queue = sim._queue
         #: Optional fault injector (see :mod:`repro.faults.injector`).
         #: ``None`` on the hot path keeps fault support free for normal
@@ -149,14 +153,16 @@ class Network:
         """Hook a fault injector into the send and delivery paths.
 
         At most one injector per network.  Installing clears the
-        ``(dst, kind)`` delivery cache so future resolutions wrap the
-        handler in the injector's delivery guard, which drops in-flight
-        messages addressed to a node that crashed after they were sent.
+        ``(dst, kind)`` delivery cache and the fanout plans so future
+        resolutions wrap the handler in the injector's delivery guard,
+        which drops in-flight messages addressed to a node that crashed
+        after they were sent.
         """
         if self._injector is not None:
             raise NetworkError("a fault injector is already installed")
         self._injector = injector
         self._direct.clear()
+        self._plans.clear()
 
     def install_shard_router(self, router: "ShardRouter") -> None:  # noqa: F821
         """Hook a shard router into the send path (one per network).
@@ -213,14 +219,80 @@ class Network:
         self._direct[(dst, kind)] = fn
         return fn
 
-    def delay(self, src: int, dst: int, size_bytes: int) -> float:
-        """Raw transfer delay for a message, before FIFO clamping."""
-        key = (src, dst)
+    def _base(self, key: tuple[int, int]) -> float:
+        """Memoized ``hops * hop_latency`` for one ``(src, dst)`` channel."""
         base = self._base_latency.get(key)
         if base is None:
-            base = self.topology.hops(src, dst) * self._hop_latency
+            base = self.topology.hops(*key) * self._hop_latency
             self._base_latency[key] = base
-        return base + size_bytes / self._link_bandwidth
+        return base
+
+    def _fifo(self, key: tuple[int, int]) -> list[float]:
+        """The FIFO cell of one ``(src, dst)`` channel: ``[last arrival]``."""
+        fifo = self._last_arrival.get(key)
+        if fifo is None:
+            fifo = self._last_arrival[key] = [_NEVER]
+        return fifo
+
+    def _plan(
+        self, src: int, kind: str, targets: tuple[int, ...]
+    ) -> tuple[PlanEntry, ...]:
+        """Fill the fanout plan cache for one target set (slow path, once)."""
+        direct = self._direct
+        entries = []
+        for dst in targets:
+            handler = direct.get((dst, kind))
+            if handler is None:
+                handler = self._resolve_direct(dst, kind)
+            key = (src, dst)
+            entries.append((dst, self._fifo(key), self._base(key), handler))
+        plan = self._plans[(src, kind, targets)] = tuple(entries)
+        return plan
+
+    def delay(self, src: int, dst: int, size_bytes: int) -> float:
+        """Raw transfer delay for a message, before FIFO clamping."""
+        return self._base((src, dst)) + size_bytes / self._link_bandwidth
+
+    def _admit(
+        self, msg: Message, arrival: float
+    ) -> tuple[float, int, bool] | None:
+        """Run the loss model and fault injector on one outbound message.
+
+        Returns ``(arrival, copies, clamp_fifo)``, or ``None`` when the
+        message is dropped (already counted and traced).
+        """
+        stats = self.stats
+        sim = self.sim
+        if self.loss_model is not None and self.loss_model.should_drop(msg):
+            stats.dropped += 1
+            stats.loss_dropped += 1
+            stats.dropped_inbound[msg.dst] += 1
+            if sim.trace_enabled:
+                sim.tracer.record(
+                    sim._now, "net.dropped", msg=str(msg), arrival=arrival
+                )
+            return None
+        injector = self._injector
+        verdict = None if injector is None else injector.on_send(msg)
+        if verdict is None:
+            return arrival, 1, True
+        extra_delay, copies, clamp_fifo = verdict
+        if copies == 0:
+            # Crashed endpoint or partition-crossing message.
+            stats.dropped += 1
+            stats.fault_dropped += 1
+            stats.dropped_inbound[msg.dst] += 1
+            if sim.trace_enabled:
+                sim.tracer.record(
+                    sim._now, "fault.dropped", msg=str(msg), arrival=arrival
+                )
+            return None
+        if extra_delay > 0.0:
+            arrival += extra_delay
+            stats.fault_delayed += 1
+        if copies > 1:
+            stats.fault_duplicated += copies - 1
+        return arrival, copies, clamp_fifo
 
     def send(self, msg: Message) -> float:
         """Inject ``msg``; returns its scheduled arrival time.
@@ -251,44 +323,22 @@ class Network:
         key = (src, dst)
         base = self._base_latency.get(key)
         if base is None:
-            base = self.topology.hops(src, dst) * self._hop_latency
-            self._base_latency[key] = base
+            base = self._base(key)
         arrival = now + (base + size_bytes / self._link_bandwidth)
-        if self.loss_model is not None and self.loss_model.should_drop(msg):
-            stats.dropped += 1
-            stats.loss_dropped += 1
-            stats.dropped_inbound[dst] += 1
-            if sim.trace_enabled:
-                sim.tracer.record(now, "net.dropped", msg=str(msg), arrival=arrival)
-            return arrival
         copies = 1
         clamp_fifo = True
-        injector = self._injector
-        if injector is not None:
-            verdict = injector.on_send(msg)
-            if verdict is not None:
-                extra_delay, copies, clamp_fifo = verdict
-                if copies == 0:
-                    # Crashed endpoint or partition-crossing message.
-                    stats.dropped += 1
-                    stats.fault_dropped += 1
-                    stats.dropped_inbound[dst] += 1
-                    if sim.trace_enabled:
-                        sim.tracer.record(
-                            now, "fault.dropped", msg=str(msg), arrival=arrival
-                        )
-                    return arrival
-                if extra_delay > 0.0:
-                    arrival += extra_delay
-                    stats.fault_delayed += 1
-                if copies > 1:
-                    stats.fault_duplicated += copies - 1
+        if self.loss_model is not None or self._injector is not None:
+            admitted = self._admit(msg, arrival)
+            if admitted is None:
+                return arrival
+            arrival, copies, clamp_fifo = admitted
         if clamp_fifo:
-            last_arrival = self._last_arrival
-            previous = last_arrival.get(key)
-            if previous is not None and arrival < previous:
-                arrival = previous
-            last_arrival[key] = arrival
+            fifo = self._last_arrival.get(key)
+            if fifo is None:
+                fifo = self._fifo(key)
+            if arrival < fifo[0]:
+                arrival = fifo[0]
+            fifo[0] = arrival
         router = self._router
         if router is not None:
             # Sharded replica: every arrival — intra- or cross-shard —
@@ -331,16 +381,19 @@ class Network:
             return arrival
         stats.inbound[dst] += copies
 
-        # Inlined EventQueue.push_call (one entry per delivery copy).
+        # Inlined EventQueue.push_call: one heap event carries every
+        # delivery copy (duplicate faults) of this message.
         queue = self._queue
         seq = queue._next_seq
         queue._next_seq = seq + copies
-        heappush(queue._heap, (arrival, 0, seq, handler, msg))
-        if copies > 1:
-            heap = queue._heap
-            for offset in range(1, copies):
-                heappush(heap, (arrival, 0, seq + offset, handler, msg))
-        queue._live += copies
+        if copies == 1:
+            heappush(queue._heap, (arrival, 0, seq, handler, msg))
+        else:
+            heappush(
+                queue._heap,
+                (arrival, 0, seq, fire_batch, [(handler, msg)] * copies),
+            )
+        queue._live += 1
         if sim.trace_enabled:
             sim.tracer.record(now, "net.send", msg=str(msg), arrival=arrival)
         return arrival
@@ -355,59 +408,11 @@ class Network:
     ) -> None:
         """Send one payload from ``src`` to every target (multicast path).
 
-        Semantically identical to building and :meth:`send`-ing one
-        :class:`Message` per target, but with the per-message constants
-        (stats counters, serialization delay, clock, heap) hoisted out
-        of the loop.  Loss-model, fault-injection, and tracing runs take
-        the plain :meth:`send` path so per-message drop decisions and
-        trace records stay exactly as before.
+        Observably identical to building and :meth:`send`-ing one
+        :class:`Message` per target, in target order; see
+        :meth:`_fanout`.
         """
-        sim = self.sim
-        if (
-            self.loss_model is not None
-            or self._injector is not None
-            or self._router is not None
-            or sim.trace_enabled
-        ):
-            for dst in targets:
-                self.send(Message(src, dst, kind, payload, size_bytes))
-            return
-        now = sim._now
-        n = len(targets)
-        stats = self.stats
-        stats.messages += n
-        stats.bytes += size_bytes * n
-        stats.by_kind[kind] += n
-        stats.outbound[src] += n
-        inbound = stats.inbound
-        direct = self._direct
-        base_latency = self._base_latency
-        last_arrival = self._last_arrival
-        serial = size_bytes / self._link_bandwidth
-        queue = self._queue
-        heap = queue._heap
-        seq = queue._next_seq
-        for dst in targets:
-            handler = direct.get((dst, kind))
-            if handler is None:
-                handler = self._resolve_direct(dst, kind)
-            msg = Message(src, dst, kind, payload, size_bytes)
-            msg.sent_at = now
-            key = (src, dst)
-            base = base_latency.get(key)
-            if base is None:
-                base = self.topology.hops(src, dst) * self._hop_latency
-                base_latency[key] = base
-            arrival = now + (base + serial)
-            inbound[dst] += 1
-            previous = last_arrival.get(key)
-            if previous is not None and arrival < previous:
-                arrival = previous
-            last_arrival[key] = arrival
-            heappush(heap, (arrival, 0, seq, handler, msg))
-            seq += 1
-        queue._next_seq = seq
-        queue._live += n
+        self._fanout(src, targets, kind, (payload,), (size_bytes,))
 
     def send_fanout_train(
         self,
@@ -419,113 +424,103 @@ class Network:
     ) -> None:
         """Send a train of payloads from ``src`` to every target.
 
-        Semantically identical to calling :meth:`send_fanout` once per
-        ``(payload, size)`` entry, in entry order: every logical message
-        keeps its own :class:`Message` object, stats counters, and FIFO-
-        clamped arrival time, and each destination's handler is invoked
-        once per message in sequence order.  The difference is purely
-        mechanical — consecutive messages on one channel whose clamped
-        arrivals coincide ride ONE heap event (a packet train, see
-        :func:`~repro.net.message.fire_train`) instead of one event
-        each.  Messages sent back-to-back at the same instant on a FIFO
-        channel arrive together whenever no later message is larger
-        than the running maximum, so a k-burst of same-size updates
-        collapses to a single delivery event per member.
-
-        Loss-model, fault-injection, and tracing runs take the plain
-        :meth:`send` path (in the same entry-major order the unbatched
-        engine would produce) so per-message drop decisions and trace
-        records stay exactly as before.
+        Observably identical to calling :meth:`send_fanout` once per
+        ``(payload, size)`` entry, in entry order, except that arrival
+        times round as a train (see :meth:`_fanout`).  Messages sent back-to-back on a FIFO channel
+        arrive together whenever no later message is larger than the
+        running maximum, so a k-burst of same-size updates costs one
+        heap event per distinct arrival instant, not k per member.
         """
-        n_entries = len(payloads)
-        if n_entries == 1:
-            self.send_fanout(src, targets, kind, payloads[0], sizes[0])
-            return
+        self._fanout(src, targets, kind, payloads, sizes)
+
+    def _fanout(
+        self,
+        src: int,
+        targets: tuple[int, ...],
+        kind: str,
+        payloads: "list[object] | tuple[object, ...]",
+        sizes: "list[int] | tuple[int, ...]",
+    ) -> None:
+        """The one fanout loop: send every ``(payload, size)`` pair to
+        every target, one heap event per distinct arrival instant.
+
+        Messages are built entry-major, in the order one :meth:`send`
+        per message would take, so seqs, loss-RNG draws and trace
+        records keep their per-message order.  Each message takes one
+        seq per delivery copy; a batch takes the seq of its first
+        delivery and holds its deliveries in seq order.
+        """
         sim = self.sim
-        if (
+        now = sim._now
+        plan = self._plans.get((src, kind, targets))
+        if plan is None:
+            plan = self._plan(src, kind, targets)
+        router = self._router
+        trace = sim.trace_enabled
+        hooked = (
             self.loss_model is not None
             or self._injector is not None
-            or self._router is not None
-            or sim.trace_enabled
-        ):
-            for payload, size in zip(payloads, sizes):
-                for dst in targets:
-                    self.send(Message(src, dst, kind, payload, size))
-            return
-        now = sim._now
-        n_targets = len(targets)
-        total = n_entries * n_targets
-        stats = self.stats
-        stats.messages += total
-        stats.bytes += sum(sizes) * n_targets
-        stats.by_kind[kind] += total
-        stats.outbound[src] += total
-        inbound = stats.inbound
-        direct = self._direct
-        base_latency = self._base_latency
-        last_arrival = self._last_arrival
-        inv_bandwidth = 1.0 / self._link_bandwidth
-        serials = [size * inv_bandwidth for size in sizes]
+            or router is not None
+            or trace
+        )
+        if router is None:
+            # Under a router, send() does the accounting per message.
+            n = len(plan) * len(sizes)
+            stats = self.stats
+            stats.messages += n
+            stats.bytes += len(plan) * sum(sizes)
+            stats.by_kind[kind] += n
+            stats.outbound[src] += n
+            inbound = stats.inbound
+        # An unhooked train rounds as ``(now + base) + size * (1 / bw)``,
+        # everything else as send() does, ``now + (base + size / bw)``.
+        # The goldens pin both roundings bit for bit.
+        staged = not hooked and len(sizes) > 1
+        bandwidth = self._link_bandwidth
+        inverse = 1.0 / bandwidth
         queue = self._queue
-        heap = queue._heap
         seq = queue._next_seq
-        pushed = 0
-        for dst in targets:
-            handler = direct.get((dst, kind))
-            if handler is None:
-                handler = self._resolve_direct(dst, kind)
-            key = (src, dst)
-            base = base_latency.get(key)
-            if base is None:
-                base = self.topology.hops(src, dst) * self._hop_latency
-                base_latency[key] = base
-            depart = now + base
-            previous = last_arrival.get(key)
-            # Build maximal segments of consecutive messages sharing one
-            # clamped arrival; each segment is one heap entry.
-            segment: list[Message] = []
-            segment_arrival = -1.0
-            for i in range(n_entries):
-                arrival = depart + serials[i]
-                if previous is not None and arrival < previous:
-                    arrival = previous
-                previous = arrival
-                msg = Message(src, dst, kind, payloads[i], sizes[i])
-                msg.sent_at = now
-                if arrival == segment_arrival:
-                    segment.append(msg)
-                    continue
-                if segment:
-                    pushed += 1
-                    if len(segment) == 1:
-                        heappush(
-                            heap, (segment_arrival, 0, seq, handler, segment[0])
+        #: arrival -> [(handler, msg), ...] and the seq of its first entry.
+        batches: dict[float, list] = {}
+        firsts: dict[float, int] = {}
+        for payload, size in zip(payloads, sizes):
+            serial = size * inverse if staged else size / bandwidth
+            for dst, fifo, base, handler in plan:
+                msg = Message(src, dst, kind, payload, size, None, now)
+                arrival = (now + base) + serial if staged else now + (base + serial)
+                copies = 1
+                if hooked:
+                    if router is not None:
+                        self.send(msg)
+                        continue
+                    admitted = self._admit(msg, arrival)
+                    if admitted is None:
+                        continue
+                    arrival, copies, clamp_fifo = admitted
+                    if not clamp_fifo:
+                        fifo = [arrival]
+                if arrival < fifo[0]:
+                    arrival = fifo[0]
+                fifo[0] = arrival
+                inbound[dst] += copies
+                batch = batches.get(arrival)
+                if batch is None:
+                    batch = batches[arrival] = []
+                    firsts[arrival] = seq
+                batch.append((handler, msg))
+                seq += copies
+                if hooked:
+                    batch.extend([(handler, msg)] * (copies - 1))
+                    if trace:
+                        sim.tracer.record(
+                            now, "net.send", msg=str(msg), arrival=arrival
                         )
-                    else:
-                        heappush(
-                            heap,
-                            (
-                                segment_arrival,
-                                0,
-                                seq,
-                                fire_train,
-                                (handler, tuple(segment)),
-                            ),
-                        )
-                    seq += 1
-                segment = [msg]
-                segment_arrival = arrival
-            if segment:
-                pushed += 1
-                if len(segment) == 1:
-                    heappush(heap, (segment_arrival, 0, seq, handler, segment[0]))
-                else:
-                    heappush(
-                        heap,
-                        (segment_arrival, 0, seq, fire_train, (handler, tuple(segment))),
-                    )
-                seq += 1
-            last_arrival[key] = previous
-            inbound[dst] += n_entries
+        heap = queue._heap
+        for arrival, batch in batches.items():
+            if len(batch) == 1:
+                handler, msg = batch[0]
+                heappush(heap, (arrival, 0, firsts[arrival], handler, msg))
+            else:
+                heappush(heap, (arrival, 0, firsts[arrival], fire_batch, batch))
         queue._next_seq = seq
-        queue._live += pushed
+        queue._live += len(batches)

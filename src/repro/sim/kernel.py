@@ -55,6 +55,11 @@ class Simulator:
         #: construction time, so the flag never goes stale.
         self.trace_enabled: bool = self.tracer.enabled
         self._processes: list["Process"] = []  # noqa: F821 - forward ref
+        #: Heap events fired by :meth:`step`, :meth:`run` and
+        #: :meth:`run_window` so far.  A batch of same-instant message
+        #: deliveries (see :func:`~repro.net.message.fire_batch`) is one
+        #: event.
+        self.events_fired = 0
 
     @property
     def now(self) -> float:
@@ -150,6 +155,7 @@ class Simulator:
                 f"event queue went backwards: {event.time} < {self._now}"
             )
         self._now = event.time
+        self.events_fired += 1
         event.fn()
         return self._now
 
@@ -160,6 +166,9 @@ class Simulator:
             until: Stop once the clock would pass this time.  Events at
                 exactly ``until`` still fire.
             max_events: Safety valve; raise if more events than this fire.
+                It counts heap events, like :attr:`events_fired`: a
+                batch of same-instant deliveries from one fanout is one
+                event, however many messages it carries.
 
         Returns:
             The simulated time when the run stopped.
@@ -248,6 +257,7 @@ class Simulator:
                     )
         finally:
             queue._live -= popped
+            self.events_fired += popped
             self._running = False
         return self._now
 
@@ -330,6 +340,7 @@ class Simulator:
                 fired += 1
         finally:
             queue._live -= popped
+            self.events_fired += popped
             self._running = False
         return fired, last_key
 

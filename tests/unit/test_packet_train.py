@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.net.loss import LossModel
-from repro.net.message import Message, fire_train
+from repro.net.message import Message, fire_batch
 from repro.net.network import Network
 from repro.net.topology import MeshTorus
 from repro.params import MachineParams
@@ -123,17 +123,23 @@ class TestTrainParity:
         assert got_a == got_b
         assert stats_a == stats_b
 
-    def test_equal_sizes_use_one_event_per_member(self):
-        """The point of the train: k same-size packets, one delivery event."""
+    def test_equal_sizes_use_one_event_per_arrival_instant(self):
+        """The point of the train: k same-size packets to n members cost
+        one heap event per distinct arrival instant, not one per member."""
         sim, net = make_net()
         events = []
         for node in range(9):
             net.attach(node, lambda msg: events.append(sim.now))
+        topology = net.topology
+        instants = {topology.hops(0, node) for node in self.TARGETS}
         net.send_fanout_train(0, self.TARGETS, "k", ["p"] * 6, [16] * 6)
-        # 8 members x 6 packets = 48 deliveries from only 8 heap entries.
-        assert net._queue._live == 8
+        # 8 members x 6 packets = 48 deliveries; on the 3x3 torus the
+        # members sit 1 or 2 hops from node 0, so two heap entries.
+        assert len(instants) == 2
+        assert net._queue._live == len(instants)
         sim.run()
         assert len(events) == 48
+        assert sim.events_fired == len(instants)
 
     def test_mixed_sizes_split_segments_identically(self):
         """A larger mid-train packet forces a later arrival; the smaller
@@ -156,8 +162,8 @@ class TestTrainParity:
         assert stats_a == stats_b
 
     def test_loss_model_falls_back_to_per_message_sends(self):
-        """With a loss model attached the train path must defer to plain
-        sends so per-message drop decisions stay possible."""
+        """With a loss model attached the train loop runs the drop
+        decision per message; a lossless model must change nothing."""
         payloads = [f"p{i}" for i in range(4)]
         sizes = [16] * 4
 
@@ -175,11 +181,10 @@ class TestTrainParity:
             assert [payload for _, payload, _ in got[node]] == [0, 1, 2, 3, 4]
 
 
-class TestFireTrain:
-    def test_invokes_handler_per_message_in_order(self):
+class TestFireBatch:
+    def test_invokes_each_handler_in_order(self):
         seen = []
-        msgs = tuple(
-            Message(src=0, dst=1, kind="k", payload=i) for i in range(3)
-        )
-        fire_train((seen.append, msgs))
-        assert seen == list(msgs)
+        msgs = [Message(src=0, dst=1 + i % 2, kind="k", payload=i) for i in range(4)]
+        handlers = [lambda m: seen.append(("a", m)), lambda m: seen.append(("b", m))]
+        fire_batch([(handlers[i % 2], msg) for i, msg in enumerate(msgs)])
+        assert seen == [("ab"[i % 2], msg) for i, msg in enumerate(msgs)]

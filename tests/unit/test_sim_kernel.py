@@ -134,6 +134,24 @@ class TestSimulator:
         sim.schedule(0.0, respawn)
         with pytest.raises(SimulationError, match="max_events"):
             sim.run(max_events=100)
+        # The count is folded in even when the run raises: the 101st
+        # event fired before the guard tripped.
+        assert sim.events_fired == 101
+
+    def test_events_fired_counts_heap_events_across_runs(self):
+        sim = Simulator()
+        cancelled = sim.schedule(1.0, lambda: None)
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule_fn(delay, lambda: None)
+        sim.cancel(cancelled)
+        assert sim.events_fired == 0
+        sim.run(until=2.0)
+        assert sim.events_fired == 2  # the cancelled event never fires
+        sim.run()
+        assert sim.events_fired == 3
+        sim.schedule_fn(0.0, lambda: None)
+        sim.step()
+        assert sim.events_fired == 4
 
     def test_cancel_via_simulator(self):
         sim = Simulator()
