@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test chaos-smoke failover-smoke campaign-smoke shard-smoke sharded-root-smoke goldens verify-goldens bench bench-full bench-json perf-smoke perfbench-smoke profile examples figures all clean
+.PHONY: install test chaos-smoke failover-smoke campaign-smoke sharded-root-smoke goldens verify-goldens bench bench-full bench-json perf-smoke perfbench-smoke profile loc examples figures all clean
 
 install:
 	$(PY) setup.py develop
@@ -29,12 +29,6 @@ failover-smoke:
 # part of `make test`.
 campaign-smoke:
 	PYTHONPATH=src $(PY) -m repro campaign --smoke
-
-# Shard-parity smoke: quick figure2/figure8 points under the sharded
-# kernel (both sync policies) must hash bit-identical to serial runs.
-shard-smoke:
-	PYTHONPATH=src $(PY) -m repro shard-smoke
-	PYTHONPATH=src $(PY) -m repro shard-smoke --shards 4
 
 # Sharded-root parity smoke: serial vs root-sharded state hashes across
 # partition counts, relay fanouts, and an online re-partition, on two
@@ -88,6 +82,12 @@ profile:
 	p = cProfile.Profile(); \
 	p.enable(); run_figure2(); run_figure8(); p.disable(); \
 	pstats.Stats(p).sort_stats('cumulative').print_stats(20)"
+
+# Python line totals of src/ and tests/ (ROADMAP tracks src lines).
+loc:
+	@for dir in src tests; do \
+	  printf '%-6s %s\n' $$dir "$$(find $$dir -name '*.py' -print0 | xargs -0 cat | wc -l)"; \
+	done
 
 examples:
 	for script in examples/*.py; do echo "== $$script"; $(PY) $$script; done

@@ -62,36 +62,6 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shards(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run GWC-family points under the sharded kernel with N "
-            "shards (default: $REPRO_SHARDS, else serial); final state "
-            "is bit-identical at any shard count"
-        ),
-    )
-    parser.add_argument(
-        "--shard-policy",
-        choices=("optimistic", "conservative"),
-        default="optimistic",
-        help="shard sync policy: Time Warp rollback or lookahead windows",
-    )
-    parser.add_argument(
-        "--shard-backend",
-        choices=("inproc", "process"),
-        default=None,
-        help=(
-            "shard execution backend: cooperative in-process loops or one "
-            "forked worker per shard (default: $REPRO_SHARD_BACKEND, else "
-            "inproc); state hashes are bit-identical either way"
-        ),
-    )
-
-
 def _cmd_figure1(args: argparse.Namespace) -> int:
     rows = figure1.run_figure1(
         update_time=args.update_us * 1e-6, cpu2_delay=args.delay_us * 1e-6
@@ -116,9 +86,6 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
         sizes=sizes,
         total_tasks=tasks,
         jobs=args.jobs,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_backend=args.shard_backend,
     )
     print(figure2.render(rows))
     if args.chart:
@@ -143,9 +110,6 @@ def _cmd_figure8(args: argparse.Namespace) -> int:
         sizes=sizes,
         data_size=data,
         jobs=args.jobs,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_backend=args.shard_backend,
     )
     print(figure8.render(rows))
     if args.chart:
@@ -156,70 +120,6 @@ def _cmd_figure8(args: argparse.Namespace) -> int:
     for check in checks:
         print(check)
     return 0 if all(c.holds for c in checks) else 1
-
-
-def _cmd_shard_smoke(args: argparse.Namespace) -> int:
-    """Shard-parity smoke: quick figure2/figure8 points, hash vs serial."""
-    from repro.workloads.pipeline import PipelineConfig, run_pipeline
-    from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
-
-    from repro.experiments.runner import default_shard_backend
-
-    shards = args.shards or 2
-    backend = args.shard_backend or default_shard_backend()
-    failures = 0
-    print(f"shard-parity smoke ({shards} shards, {backend} backend, vs serial):")
-    for n_nodes in (3, 5, 9):
-        serial = run_task_queue(
-            TaskQueueConfig(system="gwc", n_nodes=n_nodes, total_tasks=32)
-        )
-        for policy in ("optimistic", "conservative"):
-            sharded = run_task_queue(
-                TaskQueueConfig(
-                    system="gwc",
-                    n_nodes=n_nodes,
-                    total_tasks=32,
-                    shards=shards,
-                    shard_policy=policy,
-                    shard_backend=backend,
-                )
-            )
-            ok = sharded.extra["state_hash"] == serial.extra["state_hash"]
-            failures += not ok
-            stats = sharded.extra.get("shard_stats", {})
-            print(
-                f"  figure2 n={n_nodes:<2d} {policy:<12s} "
-                f"{'OK  ' if ok else 'FAIL'} "
-                f"backend={sharded.extra.get('shard_backend', 'serial')} "
-                f"rollbacks={stats.get('rollbacks', 0)} "
-                f"routed={stats.get('routed', 0)}"
-            )
-    serial = run_pipeline(
-        PipelineConfig(system="gwc_optimistic", n_nodes=8, data_size=64)
-    )
-    for policy in ("optimistic", "conservative"):
-        sharded = run_pipeline(
-            PipelineConfig(
-                system="gwc_optimistic",
-                n_nodes=8,
-                data_size=64,
-                shards=shards,
-                shard_policy=policy,
-                shard_backend=backend,
-            )
-        )
-        ok = sharded.extra["state_hash"] == serial.extra["state_hash"]
-        failures += not ok
-        stats = sharded.extra.get("shard_stats", {})
-        print(
-            f"  figure8 n=8  {policy:<12s} "
-            f"{'OK  ' if ok else 'FAIL'} "
-            f"backend={sharded.extra.get('shard_backend', 'serial')} "
-            f"rollbacks={stats.get('rollbacks', 0)} "
-            f"routed={stats.get('routed', 0)}"
-        )
-    print("PARITY OK" if failures == 0 else f"PARITY FAILED ({failures})")
-    return 0 if failures == 0 else 1
 
 
 def _cmd_rootshard(args: argparse.Namespace) -> int:
@@ -635,9 +535,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         rows.append(
             [
                 trial.index,
-                trial.kind,
                 trial.profile,
-                trial.system if trial.kind == "chaos" else trial.shard_policy,
+                trial.system,
                 trial.topology,
                 "ok" if outcome.ok else "FAIL",
                 "/".join(outcome.signature) if outcome.signature else "-",
@@ -648,7 +547,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                         if outcome.minimized is not None
                         else ""
                     )
-                    if trial.config is not None and trial.config.plan is not None
+                    if trial.config.plan is not None
                     else "-"
                 ),
                 detail[:60] if detail else "-",
@@ -658,9 +557,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         format_table(
             [
                 "trial",
-                "kind",
                 "profile",
-                "system/policy",
+                "system",
                 "topology",
                 "status",
                 "signature",
@@ -840,7 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--sizes", type=str, default="")
     p2.add_argument("--tasks", type=int, default=0)
     p2.add_argument("--chart", action="store_true", help="draw an ASCII chart")
-    _add_shards(p2)
     _add_jobs(p2)
     p2.set_defaults(fn=_cmd_figure2)
 
@@ -849,27 +746,11 @@ def build_parser() -> argparse.ArgumentParser:
     p8.add_argument("--sizes", type=str, default="")
     p8.add_argument("--data", type=int, default=0)
     p8.add_argument("--chart", action="store_true", help="draw an ASCII chart")
-    _add_shards(p8)
     _add_jobs(p8)
     p8.set_defaults(fn=_cmd_figure8)
 
     p7 = sub.add_parser("figure7", help="rollback interaction scenario")
     p7.set_defaults(fn=_cmd_figure7)
-
-    psm = sub.add_parser(
-        "shard-smoke",
-        help="shard-parity smoke: sharded state hashes must equal serial",
-    )
-    psm.add_argument(
-        "--shards", type=int, default=2, metavar="N", help="shard count"
-    )
-    psm.add_argument(
-        "--shard-backend",
-        choices=("inproc", "process"),
-        default=None,
-        help="shard execution backend (default: $REPRO_SHARD_BACKEND)",
-    )
-    psm.set_defaults(fn=_cmd_shard_smoke)
 
     prs = sub.add_parser(
         "rootshard",

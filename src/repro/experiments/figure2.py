@@ -18,12 +18,7 @@ from repro.experiments.common import (
     network_sizes_fig2,
     total_tasks_fig2,
 )
-from repro.experiments.runner import (
-    SweepExecutor,
-    clamp_oversubscription,
-    default_shard_backend,
-    default_shards,
-)
+from repro.experiments.runner import SweepExecutor
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
 from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
@@ -40,42 +35,20 @@ class Figure2Row:
 
 
 def _figure2_point(
-    point: tuple[int, int, float, float, MachineParams, int, str, "str | None"],
+    point: tuple[int, int, float, float, MachineParams],
 ) -> Figure2Row:
     """One network size's three series (module-level: picklable)."""
-    (
-        n_nodes,
-        total_tasks,
-        task_time,
-        produce_ratio,
-        params,
-        shards,
-        policy,
-        backend,
-    ) = point
+    n_nodes, total_tasks, task_time, produce_ratio, params = point
     base = dict(
         n_nodes=n_nodes,
         total_tasks=total_tasks,
         task_time=task_time,
         produce_ratio=produce_ratio,
     )
-    # Sharding applies to the GWC series only: the ideal series uses
-    # zero delays (no cross-shard lookahead) and entry consistency is
-    # not message-pure; both fall back to serial anyway, so request it
-    # only where it can run.
     ideal = run_task_queue(
         TaskQueueConfig(system="gwc", params=params.zero_delay(), **base)
     )
-    gwc = run_task_queue(
-        TaskQueueConfig(
-            system="gwc",
-            params=params,
-            shards=shards,
-            shard_policy=policy,
-            shard_backend=backend,
-            **base,
-        )
-    )
+    gwc = run_task_queue(TaskQueueConfig(system="gwc", params=params, **base))
     entry = run_task_queue(TaskQueueConfig(system="entry", params=params, **base))
     for result in (ideal, gwc, entry):
         if not result.extra["all_executed"]:
@@ -97,9 +70,6 @@ def run_figure2(
     produce_ratio: float = 1.0 / 128.0,
     params: MachineParams = PAPER_PARAMS,
     jobs: int | None = None,
-    shards: int | None = None,
-    shard_policy: str = "optimistic",
-    shard_backend: str | None = None,
 ) -> list[Figure2Row]:
     """Sweep network sizes for the GWC and entry consistency series.
 
@@ -109,33 +79,15 @@ def run_figure2(
 
     Each network size is an independent simulation point; ``jobs``
     (default: the ``REPRO_JOBS`` env var) fans them across worker
-    processes without changing any result.  ``shards`` (default: the
-    ``REPRO_SHARDS`` env var) runs each GWC point under the sharded
-    kernel on ``shard_backend`` (default: ``REPRO_SHARD_BACKEND``) —
-    results are bit-identical to serial by construction.
+    processes without changing any result.
     """
     sizes = sizes if sizes is not None else network_sizes_fig2()
     total_tasks = total_tasks if total_tasks is not None else total_tasks_fig2()
-    shards = default_shards() if shards is None else max(1, int(shards))
-    backend = (
-        default_shard_backend() if shard_backend is None else shard_backend
-    )
-    executor = SweepExecutor(jobs)
-    executor.jobs = clamp_oversubscription(executor.jobs, shards, backend)
     points = [
-        (
-            n_nodes,
-            total_tasks,
-            task_time,
-            produce_ratio,
-            params,
-            shards,
-            shard_policy,
-            backend,
-        )
+        (n_nodes, total_tasks, task_time, produce_ratio, params)
         for n_nodes in sizes
     ]
-    return executor.map(_figure2_point, points)
+    return SweepExecutor(jobs).map(_figure2_point, points)
 
 
 def expectations(rows: list[Figure2Row]) -> list[PaperExpectation]:

@@ -21,12 +21,7 @@ from repro.experiments.common import (
     data_size_fig8,
     network_sizes_fig8,
 )
-from repro.experiments.runner import (
-    SweepExecutor,
-    clamp_oversubscription,
-    default_shard_backend,
-    default_shards,
-)
+from repro.experiments.runner import SweepExecutor
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
 from repro.workloads.pipeline import PipelineConfig, run_pipeline
@@ -45,9 +40,7 @@ class Figure8Row:
 
 
 def _figure8_point(
-    point: tuple[
-        int, int, float, float, int, int, MachineParams, int, str, "str | None"
-    ],
+    point: tuple[int, int, float, float, int, int, MachineParams],
 ) -> Figure8Row:
     """One network size's four series (module-level: picklable)."""
     (
@@ -58,9 +51,6 @@ def _figure8_point(
         item_bytes,
         block_bytes,
         params,
-        shards,
-        policy,
-        backend,
     ) = point
     base = dict(
         n_nodes=n_nodes,
@@ -70,32 +60,13 @@ def _figure8_point(
         item_bytes=item_bytes,
         block_bytes=block_bytes,
     )
-    # Sharding applies to the two GWC-family series; the zero-delay
-    # ideal (no cross-shard lookahead) and entry consistency (not
-    # message-pure) fall back to serial regardless.
     ideal = run_pipeline(
         PipelineConfig(system="gwc", params=params.zero_delay(), **base)
     )
     optimistic = run_pipeline(
-        PipelineConfig(
-            system="gwc_optimistic",
-            params=params,
-            shards=shards,
-            shard_policy=policy,
-            shard_backend=backend,
-            **base,
-        )
+        PipelineConfig(system="gwc_optimistic", params=params, **base)
     )
-    gwc = run_pipeline(
-        PipelineConfig(
-            system="gwc",
-            params=params,
-            shards=shards,
-            shard_policy=policy,
-            shard_backend=backend,
-            **base,
-        )
-    )
+    gwc = run_pipeline(PipelineConfig(system="gwc", params=params, **base))
     entry = run_pipeline(PipelineConfig(system="entry", params=params, **base))
     for result in (ideal, optimistic, gwc, entry):
         if not result.extra["acc_correct"]:
@@ -121,28 +92,15 @@ def run_figure8(
     block_bytes: int = 64,
     params: MachineParams = PAPER_PARAMS,
     jobs: int | None = None,
-    shards: int | None = None,
-    shard_policy: str = "optimistic",
-    shard_backend: str | None = None,
 ) -> list[Figure8Row]:
     """Sweep network sizes for the four Figure 8 series.
 
     Each network size is an independent simulation point; ``jobs``
     (default: the ``REPRO_JOBS`` env var) fans them across worker
-    processes without changing any result.  ``shards`` (default: the
-    ``REPRO_SHARDS`` env var) runs the GWC-family points under the
-    sharded kernel on ``shard_backend`` (default:
-    ``REPRO_SHARD_BACKEND``) — results are bit-identical to serial by
-    construction.
+    processes without changing any result.
     """
     sizes = sizes if sizes is not None else network_sizes_fig8()
     data_size = data_size if data_size is not None else data_size_fig8()
-    shards = default_shards() if shards is None else max(1, int(shards))
-    backend = (
-        default_shard_backend() if shard_backend is None else shard_backend
-    )
-    executor = SweepExecutor(jobs)
-    executor.jobs = clamp_oversubscription(executor.jobs, shards, backend)
     points = [
         (
             n_nodes,
@@ -152,13 +110,10 @@ def run_figure8(
             item_bytes,
             block_bytes,
             params,
-            shards,
-            shard_policy,
-            backend,
         )
         for n_nodes in sizes
     ]
-    return executor.map(_figure8_point, points)
+    return SweepExecutor(jobs).map(_figure8_point, points)
 
 
 def expectations(rows: list[Figure8Row]) -> list[PaperExpectation]:

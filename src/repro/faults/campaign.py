@@ -2,9 +2,8 @@
 
 Where ``repro chaos`` replays a fixed hand-written scenario matrix,
 a *campaign* generates seeded random fault plans from weighted
-profiles, runs N trials across systems x topologies (plus sharded
-task-queue trials under both shard-sync policies), holds every trial to
-the online oracles of :mod:`repro.consistency.oracles`, and — when a
+profiles, runs N trials across systems x topologies, holds every trial
+to the online oracles of :mod:`repro.consistency.oracles`, and — when a
 trial fails — delta-debugs the fault plan down to a 1-minimal failing
 schedule and writes a reproducible repro bundle through the atomic
 :class:`~repro.goldens.writer.RunWriter` protocol.
@@ -16,18 +15,15 @@ Three layers:
    Profiles: ``churn`` (sequential crash/restart pairs), ``splitbrain``
    (bounded partition windows + wire noise), ``rootstorm`` (kill the
    sequencer and a lock holder mid-section), ``wire`` (deterministic
-   FIFO-preserving delay windows — the only profile legal under the
-   sharded kernel's parity requirement), and ``mixed`` (a weighted
+   FIFO-preserving delay windows), and ``mixed`` (a weighted
    blend).  Generated plans always pass
    :meth:`~repro.faults.plan.FaultPlan.validate` for their ``n_nodes``
    and are *survivable by design* under the full recovery stack: plain
    crashes never hit node 0, at most one node is down at a time,
    partitions exclude the root and always carry a bounded ``until``
    window, and holder/root kills fire early enough to land mid-run.
-2. :func:`run_campaign` — the trial runner.  Every chaos trial runs
-   with ``oracles=True``; every sharded trial checks GVT monotonicity
-   (:class:`~repro.consistency.oracles.GvtMonitor`), the cross-shard
-   exclusion verifier, and serial/sharded state-hash parity.
+2. :func:`run_campaign` — the trial runner.  Every trial runs with
+   ``oracles=True``.
 3. :func:`minimize_failure` — classic ddmin over the plan's events,
    then node-count and fault-window shrinking, re-probing after each
    step so the final plan still reproduces the *same* failure signature
@@ -277,7 +273,7 @@ def generate_plan(
 
 @dataclass(frozen=True, slots=True)
 class CampaignConfig:
-    """One randomized campaign: N seeded trials + sharded trials."""
+    """One randomized campaign: N seeded chaos trials."""
 
     trials: int = 25
     seed: int = 7
@@ -290,9 +286,6 @@ class CampaignConfig:
     topologies: tuple[str, ...] = ("mesh_torus", "ring")
     #: Expected active run span, in recovery units (scales fault times).
     horizon_units: float = 400.0
-    #: Sharded task-queue trials appended after the chaos trials.
-    shard_trials: int = 2
-    shard_policies: tuple[str, ...] = ("optimistic", "conservative")
     minimize: bool = True
     probe_budget: int = DEFAULT_PROBE_BUDGET
     #: Where failing trials' repro bundles land (None = don't write).
@@ -313,18 +306,15 @@ class CampaignConfig:
 
 @dataclass(frozen=True, slots=True)
 class CampaignTrial:
-    """One enumerated trial (chaos or sharded)."""
+    """One enumerated chaos trial."""
 
     index: int
-    kind: str  # "chaos" | "shard"
     profile: str
     system: str
     workload: str
     topology: str
     seed: int
-    config: ChaosConfig | None = None
-    shards: int = 0
-    shard_policy: str = ""
+    config: ChaosConfig
 
 
 def _campaign_profiles(config: CampaignConfig) -> tuple[str, ...]:
@@ -408,28 +398,12 @@ def campaign_trials(config: CampaignConfig) -> list[CampaignTrial]:
         trials.append(
             CampaignTrial(
                 index=i,
-                kind="chaos",
                 profile=profile,
                 system=system,
                 workload=config.workload,
                 topology=topology,
                 seed=seed,
                 config=chaos_config,
-            )
-        )
-    for j in range(config.shard_trials):
-        policy = config.shard_policies[j % len(config.shard_policies)]
-        trials.append(
-            CampaignTrial(
-                index=config.trials + j,
-                kind="shard",
-                profile="wire",
-                system="gwc",
-                workload="task_queue",
-                topology="mesh_torus",
-                seed=config.seed * 1009 + 9000 + j,
-                shards=2 + 2 * (j // len(config.shard_policies) % 2),
-                shard_policy=policy,
             )
         )
     return trials
@@ -458,11 +432,6 @@ def failure_signature(result: ChaosResult) -> tuple[str, ...] | None:
 
 def _zero_run_values(trial: CampaignTrial, detail: str) -> dict[str, Any]:
     """Schema-complete values for a trial that errored before finishing."""
-    scenario = (
-        trial.config.scenario
-        if trial.config is not None
-        else f"shard:{trial.shard_policy}x{trial.shards}"
-    )
     values: dict[str, Any] = dict.fromkeys(
         (
             "final_counter",
@@ -488,7 +457,7 @@ def _zero_run_values(trial: CampaignTrial, detail: str) -> dict[str, Any]:
     values.update(
         system=trial.system,
         workload=trial.workload,
-        scenario=scenario,
+        scenario=trial.config.scenario,
         seed=trial.seed,
         ok=False,
         converged=False,
@@ -502,97 +471,18 @@ def _zero_run_values(trial: CampaignTrial, detail: str) -> dict[str, Any]:
 def _trial_prefix(
     trial: CampaignTrial, minimized: "Minimization | None"
 ) -> dict[str, Any]:
-    plan_events = (
-        len(trial.config.plan.events)
-        if trial.config is not None and trial.config.plan is not None
-        else 0
-    )
+    plan = trial.config.plan
     return {
         "trial": trial.index,
-        "kind": trial.kind,
+        # Every trial is a chaos trial; the column keeps the CSV schema.
+        "kind": "chaos",
         "profile": trial.profile,
         "topology": trial.topology,
-        "plan_events": plan_events,
+        "plan_events": len(plan.events) if plan is not None else 0,
         "minimized_events": (
             len(minimized.plan.events) if minimized is not None else ""
         ),
     }
-
-
-def run_shard_trial(
-    config: CampaignConfig, trial: CampaignTrial
-) -> tuple[bool, str, dict[str, Any]]:
-    """One sharded task-queue trial under a deterministic wire plan.
-
-    Oracles: GVT monotonicity every round, the kernel's cross-shard
-    exclusion verifier, and bit-identical state-hash parity vs the
-    serial run of the same configuration.  Returns ``(ok, detail,
-    schema values)``.
-    """
-    from repro.consistency.oracles import GvtMonitor
-    from repro.sim.procshards import make_sharded_kernel
-    from repro.sim.shards import ShardPlan
-
-    n_nodes = max(3, min(config.n_nodes, 5))
-    total_tasks = 24
-    task_time = tq_wl.TaskQueueConfig.__dataclass_fields__["task_time"].default
-    tq_config = tq_wl.TaskQueueConfig(
-        system="gwc",
-        n_nodes=n_nodes,
-        total_tasks=total_tasks,
-        params=config.params,
-        seed=trial.seed,
-        fault_plan=generate_plan(
-            trial.seed,
-            n_nodes,
-            # Wire-plan horizon: the expected serial makespan.
-            total_tasks * task_time / (n_nodes - 1),
-            "wire",
-        ),
-    )
-    serial = tq_wl.run_task_queue(tq_config)
-    monitor = GvtMonitor()
-    # Backend resolves via REPRO_SHARD_BACKEND; every oracle below is
-    # backend-independent (final-state values plus GVT monotonicity).
-    kernel = make_sharded_kernel(
-        lambda owned: tq_wl._build_task_queue(tq_config, owned),
-        ShardPlan.from_groups(n_nodes, trial.shards),
-        policy=trial.shard_policy,
-    )
-    kernel.on_gvt = monitor.note
-    detail = ""
-    ok = True
-    try:
-        kernel.run()
-        kernel.verify()
-    except ReproError as exc:
-        ok = False
-        detail = f"{type(exc).__name__}: {exc}"
-    executed = sum(
-        kernel.node(i).locals.get("_executed", 0) for i in range(1, n_nodes)
-    )
-    parity = ok and kernel.state_hash() == serial.extra["state_hash"]
-    if ok and not parity:
-        detail = "state-hash parity violated vs serial run"
-    complete = executed == total_tasks
-    if ok and parity and not complete:
-        detail = f"executed {executed} of {total_tasks} tasks"
-    ok = ok and parity and complete
-    metrics = kernel.merged_metrics() if ok else None
-    values = _zero_run_values(trial, "")
-    values.update(
-        ok=ok,
-        final_counter=executed,
-        converged=parity,
-        stall="" if ok else detail,
-    )
-    if metrics is not None:
-        values.update(
-            lock_requests=metrics.total_counter("lock.requests"),
-            lock_timeouts=metrics.total_counter("lock.timeouts"),
-            lock_retries=metrics.total_counter("lock.retries"),
-        )
-    return ok, detail, values
 
 
 @dataclass(slots=True)
@@ -634,22 +524,6 @@ def run_campaign(
     say = out if out is not None else lambda line: None
     campaign = CampaignResult(config=config)
     for trial in campaign_trials(config):
-        if trial.kind == "shard":
-            ok, detail, values = run_shard_trial(config, trial)
-            outcome = TrialOutcome(
-                trial=trial,
-                ok=ok,
-                signature=None if ok else ("shard", detail.split(":")[0]),
-                detail=detail,
-                row=_chaos_run_row(values, _trial_prefix(trial, None)),
-            )
-            campaign.outcomes.append(outcome)
-            say(
-                f"[campaign] trial {trial.index:<3d} shard "
-                f"{trial.shard_policy:<12s} {'ok' if ok else 'FAIL'}"
-            )
-            continue
-        assert trial.config is not None
         try:
             result = run_chaos(trial.config)
         except ReproError as exc:
@@ -731,7 +605,6 @@ def smoke_config() -> CampaignConfig:
         n_nodes=6,
         ops_per_node=6,
         topologies=("mesh_torus",),
-        shard_trials=2,
         minimize=False,
     )
 
@@ -955,7 +828,6 @@ def write_bundle(
     """
     directory = pathlib.Path(directory)
     run = RunWriter(directory, BUNDLE_SURFACE)
-    assert trial.config is not None
     config = dataclasses.replace(
         trial.config, n_nodes=minimized.n_nodes, plan=None
     )
@@ -1011,7 +883,6 @@ __all__ = [
     "recovery_unit",
     "replay_bundle",
     "run_campaign",
-    "run_shard_trial",
     "smoke_config",
     "write_bundle",
 ]

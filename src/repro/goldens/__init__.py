@@ -1,6 +1,6 @@
 """Continuous-verify guardrail for run artifacts.
 
-Every figure, chaos, failover, burst, shard, and benchmark run in this
+Every figure, chaos, failover, burst, and benchmark run in this
 repository produces a small set of machine-readable artifacts.  The
 paper's claims live entirely in those artifacts, so refactoring the
 simulator aggressively is only safe if every one of them is
@@ -17,7 +17,7 @@ tamper-evident and every run is crash-safe.  This package is that fence:
 * :mod:`repro.goldens.diff` — per-file and per-field drift reports;
 * :mod:`repro.goldens.surfaces` — the registry of artifact-producing
   surfaces (figures, ablations, sensitivity, grouping, replication,
-  bursts, chaos, failover, shard smoke, BENCH_kernel.json);
+  bursts, chaos, failover, sharded roots, BENCH_kernel.json);
 * :mod:`repro.goldens.verify` — the ``repro verify-goldens`` /
   ``repro update-goldens`` flows and the CI drift gate's exit codes.
 

@@ -11,9 +11,8 @@ things threaten that:
   CRLF conversions.  The hash must see structure, not spelling.
 
 JSON artifacts are therefore parsed, scrubbed of their declared volatile
-paths, and hashed through the same type-tagged canonical encoder the
-sharded kernel uses for state parity (:mod:`repro.sim.statehash`).
-CSV and plain-text artifacts are hashed over newline-normalized UTF-8.
+paths, and hashed through the same type-tagged canonical encoder that
+run state hashes use (:mod:`repro.sim.statehash`).  CSV and plain-text artifacts are hashed over newline-normalized UTF-8.
 """
 
 from __future__ import annotations
@@ -26,15 +25,9 @@ from typing import Any, Sequence
 from repro.errors import ExperimentError
 from repro.sim.statehash import hash_payload
 
-#: Volatile paths for ``BENCH_kernel.json`` (schema 4): everything
+#: Volatile paths for ``BENCH_kernel.json`` (schema 5): everything
 #: measured in wall-clock seconds (or derived from such a measurement)
-#: plus the host fingerprint.  Per-backend sharded rows scrub their
-#: timings *and* their rollback counters: the process backend's round
-#: boundaries come from a conservative GVT estimate, so its rollback
-#: totals are backend-shaped, and ``effective`` depends on whether the
-#: host can fork at all.  What stays in the hash — the workload line,
-#: the requested backend names, and each row's parity bit — is the
-#: snapshot's portable semantic content.
+#: plus the host fingerprint.
 BENCH_VOLATILE: tuple[str, ...] = (
     "python",
     "cpu_count",
@@ -42,15 +35,6 @@ BENCH_VOLATILE: tuple[str, ...] = (
     "kernel",
     "sweeps",
     "baseline",
-    "sharded.serial_wall_s",
-    "sharded.events_per_sec_serial",
-    "sharded.backends.effective",
-    "sharded.backends.wall_s",
-    "sharded.backends.events_per_sec",
-    "sharded.backends.rollbacks",
-    "sharded.backends.rollback_ratio",
-    "sharded.backends.speedup_vs_serial",
-    "sharded.backends.overhead_vs_serial",
 )
 
 
@@ -64,8 +48,8 @@ def _match_prefix(path: tuple[str, ...], pattern: tuple[str, ...]) -> bool:
 def scrub_payload(payload: Any, volatile: Sequence[str] = ()) -> Any:
     """Drop every volatile dotted-path subtree from a parsed payload.
 
-    ``volatile`` entries are dotted key paths (``host``, ``sweeps``,
-    ``sharded.serial_wall_s``); a ``*`` segment matches any key.  List
+    ``volatile`` entries are dotted key paths (``host``,
+    ``sweeps.figure8_quick_s``); a ``*`` segment matches any key.  List
     elements are transparent: ``burst_ablation.reduction`` scrubs the
     ``reduction`` key of every row in a ``burst_ablation`` list.  The
     input is never mutated.

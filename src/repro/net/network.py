@@ -23,7 +23,7 @@ owns a contiguous seq block, so nothing sorts between two deliveries of
 a batch, and anything a handler schedules gets a later seq.  Fanout
 plans cache each target's FIFO cell, hop latency and resolved handler.
 The loss model, fault injector and tracer run per message in that same
-loop; under a shard router each message goes through :meth:`send`.
+loop.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.errors import NetworkError
 from repro.net.message import Message, fire_batch
 from repro.net.topology import Topology
 from repro.params import MachineParams
-from repro.sim.event import PRIORITY_ARRIVAL_BAND
 from repro.sim.kernel import Simulator
 
 #: Handler signature for delivered messages.
@@ -135,19 +134,6 @@ class Network:
         #: ``None`` on the hot path keeps fault support free for normal
         #: runs: one identity check per send.
         self._injector: "FaultInjector | None" = None  # noqa: F821
-        #: Optional shard router (see :mod:`repro.sim.shards`).  When
-        #: installed, sends addressed to a node this replica does not
-        #: own divert to the router's outbox instead of the local heap,
-        #: and intra-shard arrivals are keyed in the arrival band (see
-        #: :data:`~repro.sim.event.PRIORITY_ARRIVAL_BAND`) so same-time
-        #: arrivals order identically to a serial run.  ``None`` costs
-        #: one identity check per send, exactly like the injector hook.
-        self._router: "ShardRouter | None" = None  # noqa: F821
-        #: Per-source-node send counters, used only under a shard
-        #: router: the third element of each arrival-band ordering
-        #: token.  Deterministic replay of a replica reproduces the
-        #: exact same counter values.
-        self._node_send_seq: dict[int, int] = {}
 
     def install_injector(self, injector: "FaultInjector") -> None:  # noqa: F821
         """Hook a fault injector into the send and delivery paths.
@@ -163,21 +149,6 @@ class Network:
         self._injector = injector
         self._direct.clear()
         self._plans.clear()
-
-    def install_shard_router(self, router: "ShardRouter") -> None:  # noqa: F821
-        """Hook a shard router into the send path (one per network).
-
-        Cross-shard sends — ``msg.dst`` outside the router's owned node
-        set — are classified after the full delay model has run (base
-        latency, serialization, loss, faults, FIFO clamping), so a
-        diverted message carries exactly the arrival time the serial
-        kernel would have scheduled it at.  The receiving replica counts
-        the inbound load; the sender only counts outbound, keeping the
-        merged per-node stats identical to a serial run.
-        """
-        if self._router is not None:
-            raise NetworkError("a shard router is already installed")
-        self._router = router
 
     def attach(
         self,
@@ -339,46 +310,6 @@ class Network:
             if arrival < fifo[0]:
                 arrival = fifo[0]
             fifo[0] = arrival
-        router = self._router
-        if router is not None:
-            # Sharded replica: every arrival — intra- or cross-shard —
-            # is keyed in the arrival band by a (send time, src, per-src
-            # send index) token.  The token reproduces the serial
-            # kernel's ordering, where a delivery's sequence number is
-            # allocated at send time, while staying independent of any
-            # replica-local counter — so a front replica and its
-            # replaying base stamp identical keys, and arrivals from
-            # different shards order consistently at equal times.
-            seq_map = self._node_send_seq
-            idx = seq_map.get(src, 0)
-            seq_map[src] = idx + copies
-            if dst not in router.owned:
-                # Cross-shard: the owning replica delivers (and counts
-                # the inbound load); this replica only recorded the send.
-                router.emit(msg, arrival, copies, (now, src, idx))
-                if sim.trace_enabled:
-                    sim.tracer.record(
-                        now, "net.shard_route", msg=str(msg), arrival=arrival
-                    )
-                return arrival
-            stats.inbound[dst] += copies
-            queue = self._queue
-            heap = queue._heap
-            for offset in range(copies):
-                heappush(
-                    heap,
-                    (
-                        arrival,
-                        PRIORITY_ARRIVAL_BAND,
-                        (now, src, idx + offset),
-                        handler,
-                        msg,
-                    ),
-                )
-            queue._live += copies
-            if sim.trace_enabled:
-                sim.tracer.record(now, "net.send", msg=str(msg), arrival=arrival)
-            return arrival
         stats.inbound[dst] += copies
 
         # Inlined EventQueue.push_call: one heap event carries every
@@ -455,23 +386,15 @@ class Network:
         plan = self._plans.get((src, kind, targets))
         if plan is None:
             plan = self._plan(src, kind, targets)
-        router = self._router
         trace = sim.trace_enabled
-        hooked = (
-            self.loss_model is not None
-            or self._injector is not None
-            or router is not None
-            or trace
-        )
-        if router is None:
-            # Under a router, send() does the accounting per message.
-            n = len(plan) * len(sizes)
-            stats = self.stats
-            stats.messages += n
-            stats.bytes += len(plan) * sum(sizes)
-            stats.by_kind[kind] += n
-            stats.outbound[src] += n
-            inbound = stats.inbound
+        hooked = self.loss_model is not None or self._injector is not None or trace
+        n = len(plan) * len(sizes)
+        stats = self.stats
+        stats.messages += n
+        stats.bytes += len(plan) * sum(sizes)
+        stats.by_kind[kind] += n
+        stats.outbound[src] += n
+        inbound = stats.inbound
         # An unhooked train rounds as ``(now + base) + size * (1 / bw)``,
         # everything else as send() does, ``now + (base + size / bw)``.
         # The goldens pin both roundings bit for bit.
@@ -490,9 +413,6 @@ class Network:
                 arrival = (now + base) + serial if staged else now + (base + serial)
                 copies = 1
                 if hooked:
-                    if router is not None:
-                        self.send(msg)
-                        continue
                     admitted = self._admit(msg, arrival)
                     if admitted is None:
                         continue

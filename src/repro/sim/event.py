@@ -26,12 +26,6 @@ PRIORITY_NORMAL = 0
 PRIORITY_URGENT = -1
 #: Priority for lazy events (fire after normal events at the same time).
 PRIORITY_LAZY = 1
-#: Priority band for message arrivals in a *sharded* replica (see
-#: :mod:`repro.sim.shards`).  Below every local priority, so a routed
-#: arrival fires before any same-time local event; arrivals order among
-#: themselves by a ``(send time, src node, per-src send index)`` token
-#: in the seq slot.  Serial runs never use this band.
-PRIORITY_ARRIVAL_BAND = -(1 << 29)
 
 
 class Event:
@@ -65,17 +59,6 @@ class Event:
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(time={self.time}, priority={self.priority}, seq={self.seq}, {state})"
-
-    def __lt__(self, other: "Event") -> bool:
-        # Heap entries only fall through to comparing their Event slot
-        # when two full (time, priority, seq) keys are equal.  That
-        # happens in exactly one case: a rolled-back shard re-emitting
-        # an annihilated delivery, whose replayed key is identical by
-        # design while the cancelled original still sits in the heap
-        # (see repro.sim.shards).  Their relative order is irrelevant —
-        # the cancelled one is skipped — so any deterministic answer
-        # works.
-        return False
 
     def cancel(self) -> None:
         """Mark this event so the queue skips it when popped.
@@ -171,31 +154,6 @@ class EventQueue:
         heappush(self._heap, (time, priority, seq, fn, arg))
         self._live += 1
 
-    def push_at_key(
-        self,
-        time: float,
-        priority: int,
-        seq: Any,
-        fn: Callable[[], Any],
-    ) -> Event:
-        """Schedule ``fn`` under a caller-supplied ``(time, priority, seq)`` key.
-
-        Used by the sharded kernel to inject cross-shard deliveries:
-        the caller supplies the full key — a dedicated priority band
-        plus a send-order token in the ``seq`` slot (any value totally
-        ordered within its band) — so injected events never consume
-        this queue's local counter, which keeps deterministic replay
-        exact.  The returned handle is cancellable, which is how
-        anti-messages annihilate a not-yet-executed delivery.
-        """
-        if time != time:  # NaN guard
-            raise SimulationError("event time is NaN")
-        event = Event(time, priority, seq, fn)
-        event._queue = self
-        heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
-        return event
-
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event.
 
@@ -230,12 +188,3 @@ class EventQueue:
                 continue
             return heap[0][0]
         raise SimulationError("peek on empty event queue")
-
-    def note_cancelled(self) -> None:
-        """Deprecated no-op, kept for API compatibility.
-
-        :meth:`Event.cancel` now maintains the live count itself, so
-        there is no external bookkeeping left to do; calling this extra
-        method can no longer desynchronize ``len()``.
-        """
-        return None

@@ -17,10 +17,6 @@ from repro.sim.rng import RngStreams
 from repro.sim.trace import NullTracer, Tracer
 
 
-#: An event key: ``(time, priority, seq)``, the heap ordering triple.
-EventKey = tuple[float, int, int]
-
-
 def _require_nonnegative_delay(delay: float) -> None:
     """Shared negative-delay guard for every relative-scheduling entry point.
 
@@ -43,11 +39,6 @@ class Simulator:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
-        #: Key of the event currently (or most recently) executing under
-        #: :meth:`run_window` — the shard router reads it to stamp the
-        #: emitting event onto cross-shard sends.  Plain :meth:`run`
-        #: leaves it ``None``; serial runs never pay for the bookkeeping.
-        self.current_key: EventKey | None = None
         self.rng = RngStreams(seed)
         self.tracer = tracer if tracer is not None else NullTracer()
         #: Cached ``tracer.enabled`` so hot paths pay one attribute read
@@ -55,10 +46,9 @@ class Simulator:
         #: construction time, so the flag never goes stale.
         self.trace_enabled: bool = self.tracer.enabled
         self._processes: list["Process"] = []  # noqa: F821 - forward ref
-        #: Heap events fired by :meth:`step`, :meth:`run` and
-        #: :meth:`run_window` so far.  A batch of same-instant message
-        #: deliveries (see :func:`~repro.net.message.fire_batch`) is one
-        #: event.
+        #: Heap events fired by :meth:`step` and :meth:`run` so far.  A
+        #: batch of same-instant message deliveries (see
+        #: :func:`~repro.net.message.fire_batch`) is one event.
         self.events_fired = 0
 
     @property
@@ -260,89 +250,6 @@ class Simulator:
             self.events_fired += popped
             self._running = False
         return self._now
-
-    def run_window(
-        self,
-        limit: EventKey,
-        max_events: int | None = None,
-    ) -> tuple[int, EventKey | None]:
-        """Drain every event whose ``(time, priority, seq)`` key is ``< limit``.
-
-        The shard-aware run facade: a shard's local virtual time (LVT)
-        advances through this method, bounded by the coordinator's
-        current horizon key (GVT plus the sync policy's window).  The
-        loop is the same manually inlined, closure-free pop/advance
-        cycle as :meth:`run` — the compile-ready hot path — extended
-        with a full-key bound (so a replay can stop *exactly* before a
-        straggler's key, mid-timestamp) and with ``current_key``
-        tracking so the shard router can attribute emitted messages to
-        the event that sent them.
-
-        Args:
-            limit: Exclusive upper bound key.  Events compare by
-                ``(time, priority, seq)``; an event equal to ``limit``
-                does not fire.
-            max_events: Optional budget; the drain stops (without error)
-                after this many events, used to amortize checkpoint
-                replica catch-up.
-
-        Returns:
-            ``(fired, last_key)``: how many events fired and the key of
-            the last one (``None`` if nothing fired).
-        """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run)")
-        self._running = True
-        queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        event_cls = Event
-        limit_time, limit_priority, limit_seq = limit
-        budget = max_events if max_events is not None else -1
-        fired = 0
-        popped = 0
-        last_key: EventKey | None = None
-        try:
-            while heap:
-                if fired == budget:
-                    break
-                entry = heap[0]
-                target = entry[3]
-                is_event = target.__class__ is event_cls
-                if is_event and target.cancelled:
-                    heappop(heap)
-                    continue
-                time = entry[0]
-                if time > limit_time:
-                    break
-                if time == limit_time:
-                    priority = entry[1]
-                    if priority > limit_priority or (
-                        priority == limit_priority and entry[2] >= limit_seq
-                    ):
-                        break
-                heappop(heap)
-                popped += 1
-                if time < self._now:
-                    raise SimulationError(
-                        f"event queue went backwards: {time} < {self._now}"
-                    )
-                self._now = time
-                last_key = (time, entry[1], entry[2])
-                self.current_key = last_key
-                if is_event:
-                    target._queue = None
-                    target.fn()
-                elif len(entry) == 5:
-                    target(entry[4])
-                else:
-                    target()
-                fired += 1
-        finally:
-            queue._live -= popped
-            self.events_fired += popped
-            self._running = False
-        return fired, last_key
 
     def blocked_processes(self) -> list["Process"]:  # noqa: F821
         """Processes that have not finished (killed ones count as done)."""

@@ -1,125 +1,72 @@
-"""Process-backend parity: forked workers change nothing observable.
+"""Process-backend parity: forked sweep workers change nothing observable.
 
-Mirror of :mod:`tests.integration.test_shard_parity` for the
-multi-process executor (:mod:`repro.sim.procshards`): every case runs
-serial, in-process sharded, and process sharded, and all three canonical
-state hashes must be bit-identical — across shard counts, both sync
-policies, mesh and ring topologies, multiple seeds, a deterministic
-delay plan, and a node crash landing mid-optimism-window.
-
-Skipped wholesale on hosts that cannot fork (the backend falls back to
-the in-process loops there, which the sibling module already covers).
+:class:`~repro.experiments.runner.SweepExecutor` is the only parallelism
+in the repo: it forks worker processes and runs each sweep point there.
+Every case here runs task-queue points both in-process and in forked
+workers, and the canonical state hashes, elapsed times and speedups
+must be bit-identical — across the paper's two synchronization policies
+(the optimistic GWC mutex and the conservative one it falls back to),
+mesh and ring topologies, several seeds, and a deterministic delay plan.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.faults.plan import FaultPlan, crash, delay
-from repro.sim.procshards import process_backend_unavailable
-from repro.workloads import counter as counter_wl
-from repro.workloads.base import run_sharded
-from repro.workloads.pipeline import PipelineConfig, run_pipeline
+from repro.experiments.runner import SweepExecutor
+from repro.faults.plan import FaultPlan, delay
 from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
 
-pytestmark = pytest.mark.skipif(
-    process_backend_unavailable() is not None,
-    reason=str(process_backend_unavailable()),
-)
-
-POLICIES = ("optimistic", "conservative")
+#: Sync policy -> the consistency system that implements it.
+POLICIES = {"optimistic": "gwc_optimistic", "conservative": "gwc"}
 
 
-def _tq(shards: int = 1, policy: str = "optimistic", backend=None, **over):
-    config = TaskQueueConfig(
+def _tq(policy: str = "optimistic", **over) -> TaskQueueConfig:
+    return TaskQueueConfig(
+        system=POLICIES[policy],
         n_nodes=over.pop("n_nodes", 5),
         total_tasks=over.pop("total_tasks", 24),
-        shards=shards,
-        shard_policy=policy,
-        shard_backend=backend,
         **over,
     )
-    return run_task_queue(config)
 
 
-def _pipe(shards: int = 1, policy: str = "optimistic", backend=None, **over):
-    config = PipelineConfig(
-        n_nodes=over.pop("n_nodes", 8),
-        data_size=over.pop("data_size", 64),
-        shards=shards,
-        shard_policy=policy,
-        shard_backend=backend,
-        **over,
-    )
-    return run_pipeline(config)
+def _observe(config: TaskQueueConfig) -> tuple:
+    """Sweep point: (pid, state hash, elapsed, speedup) of one run."""
+    result = run_task_queue(config)
+    return os.getpid(), result.extra["state_hash"], result.elapsed, result.speedup
 
 
-def _assert_three_way(serial, inproc, process):
+def _assert_worker_parity(configs: list[TaskQueueConfig], jobs: int = 2):
     __tracebackhide__ = True
-    assert process.extra["shard_backend"] == "process"
-    assert inproc.extra["shard_backend"] == "inproc"
-    assert process.extra["state_hash"] == serial.extra["state_hash"]
-    assert inproc.extra["state_hash"] == serial.extra["state_hash"]
-    assert process.elapsed == serial.elapsed
-    assert process.speedup == pytest.approx(serial.speedup)
+    assert len(configs) >= 2, "one point never leaves the parent process"
+    executor = SweepExecutor(jobs=jobs)
+    forked = executor.map(_observe, configs)
+    local = [_observe(config) for config in configs]
+    if executor.jobs > 1:
+        # The points really ran in forked workers, not in this process.
+        assert all(pid != os.getpid() for pid, *_ in forked)
+    for (_, *worker), (_, *here) in zip(forked, local):
+        assert worker == here
 
 
 class TestTaskQueueParity:
-    @pytest.mark.parametrize("shards", [2, 3, 4])
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_mesh(self, shards, policy):
-        serial = _tq()
-        inproc = _tq(shards=shards, policy=policy, backend="inproc")
-        process = _tq(shards=shards, policy=policy, backend="process")
-        _assert_three_way(serial, inproc, process)
-        assert process.extra["all_executed"]
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_mesh(self, jobs, policy):
+        configs = [_tq(policy, seed=seed) for seed in range(jobs)]
+        _assert_worker_parity(configs, jobs=jobs)
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", list(POLICIES))
     def test_ring(self, policy):
-        serial = _tq(topology="ring")
-        inproc = _tq(shards=2, policy=policy, backend="inproc", topology="ring")
-        process = _tq(
-            shards=2, policy=policy, backend="process", topology="ring"
-        )
-        _assert_three_way(serial, inproc, process)
+        config = _tq(policy, topology="ring")
+        _assert_worker_parity([config, config])
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_seeds(self, seed):
-        serial = _tq(seed=seed)
-        inproc = _tq(shards=2, backend="inproc", seed=seed)
-        process = _tq(shards=2, backend="process", seed=seed)
-        _assert_three_way(serial, inproc, process)
-
-
-class TestPipelineParity:
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_eight_nodes_two_shards(self, policy):
-        serial = _pipe(system="gwc_optimistic")
-        inproc = _pipe(
-            shards=2, policy=policy, backend="inproc", system="gwc_optimistic"
-        )
-        process = _pipe(
-            shards=2, policy=policy, backend="process", system="gwc_optimistic"
-        )
-        _assert_three_way(serial, inproc, process)
-        assert process.extra["acc_correct"]
-
-
-class TestProcessRollbackBehaviour:
-    def test_optimistic_queue_rolls_back_across_processes(self):
-        process = _tq(shards=2, policy="optimistic", backend="process")
-        stats = process.extra["shard_stats"]
-        assert stats["stragglers"] > 0
-        assert stats["rollbacks"] > 0
-        assert stats["replayed"] > 0
-        assert stats["routed"] > 0
-
-    def test_conservative_never_rolls_back(self):
-        process = _tq(shards=2, policy="conservative", backend="process")
-        stats = process.extra["shard_stats"]
-        assert stats["stragglers"] == 0
-        assert stats["rollbacks"] == 0
-        assert stats["annihilated"] == 0
+        configs = [_tq(policy, seed=seed) for policy in POLICIES]
+        _assert_worker_parity(configs)
 
 
 class TestFaultPlanParity:
@@ -127,50 +74,7 @@ class TestFaultPlanParity:
         [delay(200e-6, extra=40e-6, until=2000e-6, probability=1.0)], seed=3
     )
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", list(POLICIES))
     def test_deterministic_delay_plan(self, policy):
-        serial = _tq(fault_plan=self.DELAY_PLAN)
-        inproc = _tq(
-            shards=2, policy=policy, backend="inproc",
-            fault_plan=self.DELAY_PLAN,
-        )
-        process = _tq(
-            shards=2, policy=policy, backend="process",
-            fault_plan=self.DELAY_PLAN,
-        )
-        _assert_three_way(serial, inproc, process)
-
-
-class TestCrashMidOptimismWindow:
-    """The crash scenario from test_shard_parity, across real processes.
-
-    The fault injector kills node 4's generator while other shards are
-    speculating past GVT in their own worker processes; the merged final
-    state must still hash identically to the serial crash run.
-    """
-
-    N_NODES = 6
-    PLAN = FaultPlan([crash(35e-6, node=4)], seed=2)
-
-    @classmethod
-    def _build(cls, owned):
-        from tests.integration.test_shard_parity import (
-            TestCrashMidOptimismWindow as Serial,
-        )
-
-        return Serial._build(owned)
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_crash_parity(self, policy):
-        from repro.workloads.base import finish
-
-        machine, system = self._build(None)
-        serial = finish(machine, system)
-        final = machine.nodes[0].store.read(counter_wl.COUNTER)
-        process = run_sharded(
-            self._build, self.N_NODES, 2, policy, backend="process"
-        )
-        kernel = process.extra.pop("_kernel")
-        assert process.extra["shard_backend"] == "process"
-        assert process.extra["state_hash"] == serial.extra["state_hash"]
-        assert kernel.node(0).store.read(counter_wl.COUNTER) == final
+        config = _tq(policy, fault_plan=self.DELAY_PLAN)
+        _assert_worker_parity([config, _tq(policy)])
