@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test chaos-smoke failover-smoke campaign-smoke sharded-root-smoke goldens verify-goldens bench bench-full bench-json perf-smoke perfbench-smoke profile loc examples figures all clean
+.PHONY: install test chaos-smoke failover-smoke campaign-smoke sharded-root-smoke goldens verify-goldens bench bench-full perfbench-smoke profile loc examples figures all clean
 
 install:
 	$(PY) setup.py develop
@@ -53,15 +53,6 @@ bench:
 
 bench-full:
 	REPRO_FULL=1 $(PY) -m pytest benchmarks/ --benchmark-only -s
-
-# Machine-readable perf snapshot (events/sec, messages/sec, quick sweep
-# wall-clock, speedup vs the seed baseline) -> BENCH_kernel.json.
-bench-json:
-	PYTHONPATH=src $(PY) benchmarks/test_perf_kernel.py
-
-# Fail if the quick Figure 8 sweep regressed >25% vs BENCH_kernel.json.
-perf-smoke:
-	PYTHONPATH=src $(PY) benchmarks/test_perf_kernel.py --smoke
 
 # Benchmark smoke: one traced optimistic_contention run of perfbench/
 # (see BENCHMARK.json).  Fails unless the run's last output line, its

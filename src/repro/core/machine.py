@@ -336,18 +336,6 @@ class DSMMachine:
         pmap = self.partition_maps[family]
         return self.groups[self.families[family][pmap.partition_of(var)]]
 
-    def root_load_summary(self, family: str) -> "dict[int, dict[str, int]]":
-        """Per-partition locally-sequenced load, by sequencing unit.
-
-        Only counts writes each engine sequenced itself (adopted state
-        from failover/migration is excluded), so the numbers reflect
-        where sequencing work actually happened.
-        """
-        return {
-            group.partition: dict(self.root_engine(group.name).load_by_unit)
-            for group in self.family_groups(family)
-        }
-
     def declare_variable(
         self,
         group: str,

@@ -58,6 +58,7 @@ from repro.faults.plan import (
     restart,
 )
 from repro.goldens.writer import RunWriter
+from repro.metrics.export import CHAOS_RUN_FIELDS, chaos_run_row
 from repro.net.topology import make_topology
 from repro.params import PAPER_PARAMS, MachineParams
 from repro.workloads import counter as counter_wl
@@ -432,28 +433,7 @@ def failure_signature(result: ChaosResult) -> tuple[str, ...] | None:
 
 def _zero_run_values(trial: CampaignTrial, detail: str) -> dict[str, Any]:
     """Schema-complete values for a trial that errored before finishing."""
-    values: dict[str, Any] = dict.fromkeys(
-        (
-            "final_counter",
-            "chain_length",
-            "lock_requests",
-            "lock_timeouts",
-            "lock_retries",
-            "lock_reclaims",
-            "failovers",
-            "stale_epoch_discards",
-            "rerouted_requests",
-            "window_discards",
-            "messages",
-            "dropped",
-            "fault_dropped",
-            "fault_delayed",
-            "fault_duplicated",
-            "root_count",
-            "root_load_max",
-        ),
-        0,
-    )
+    values: dict[str, Any] = dict.fromkeys(CHAOS_RUN_FIELDS, 0)
     values.update(
         system=trial.system,
         workload=trial.workload,
@@ -533,8 +513,9 @@ def run_campaign(
                 ok=False,
                 signature=("error", type(exc).__name__),
                 detail=detail,
-                row=_chaos_run_row(
-                    _zero_run_values(trial, detail), _trial_prefix(trial, None)
+                row=chaos_run_row(
+                    _zero_run_values(trial, detail),
+                    prefix=_trial_prefix(trial, None),
                 ),
             )
             campaign.outcomes.append(outcome)
@@ -582,14 +563,6 @@ def run_campaign(
             f"{'ok' if outcome.ok else 'FAIL ' + '/'.join(signature or ())}"
         )
     return campaign
-
-
-def _chaos_run_row(
-    values: dict[str, Any], prefix: dict[str, Any]
-) -> dict[str, Any]:
-    from repro.metrics.export import chaos_run_row
-
-    return chaos_run_row(values, prefix=prefix)
 
 
 def smoke_config() -> CampaignConfig:

@@ -12,9 +12,9 @@ import csv
 import io
 import json
 import pathlib
-from typing import Any, Sequence
+from typing import Any
 
-from repro.goldens.scrub import normalize_text, scrub_payload
+from repro.goldens.scrub import normalize_text
 
 #: Cap per-file reports so a wholesale rewrite stays readable.
 MAX_DIFFS_PER_FILE = 20
@@ -28,7 +28,7 @@ def _fmt(value: Any) -> str:
 def _diff_payload(
     path: str, golden: Any, current: Any, out: list[str]
 ) -> None:
-    """Recursively diff two scrubbed JSON payloads, field by field."""
+    """Recursively diff two JSON payloads, field by field."""
     if len(out) > MAX_DIFFS_PER_FILE:
         return
     if isinstance(golden, dict) and isinstance(current, dict):
@@ -110,26 +110,21 @@ def _diff_text(golden_text: str, current_text: str, out: list[str]) -> None:
 def diff_artifacts(
     golden_path: str | pathlib.Path,
     current_path: str | pathlib.Path,
-    volatile: Sequence[str] = (),
 ) -> list[str]:
     """Per-field differences between a golden artifact and a fresh one.
 
-    JSON files are compared as scrubbed payloads (volatile fields never
-    produce diffs); CSV files cell by cell with header-named columns;
-    anything else line by line.  Returns human-readable lines, capped at
-    :data:`MAX_DIFFS_PER_FILE` (with a trailing elision marker).
+    JSON files are compared field by field; CSV files cell by cell with
+    header-named columns; anything else line by line.  Returns
+    human-readable lines, capped at :data:`MAX_DIFFS_PER_FILE` (with a
+    trailing elision marker).
     """
     golden_path = pathlib.Path(golden_path)
     current_path = pathlib.Path(current_path)
     out: list[str] = []
     if golden_path.suffix == ".json":
         try:
-            golden = scrub_payload(
-                json.loads(golden_path.read_text()), volatile
-            )
-            current = scrub_payload(
-                json.loads(current_path.read_text()), volatile
-            )
+            golden = json.loads(golden_path.read_text())
+            current = json.loads(current_path.read_text())
         except json.JSONDecodeError as exc:
             return [f"unparseable JSON (truncated artifact?): {exc}"]
         _diff_payload("", golden, current, out)

@@ -8,8 +8,8 @@ partial artifact set, because nothing downstream will accept it.
 
 Each file entry records two hashes:
 
-* ``sha256`` — the canonical, volatile-scrubbed hash used by the drift
-  gate (portable across hosts);
+* ``sha256`` — the canonical hash used by the drift gate (portable
+  across hosts, key orders and newline conventions);
 * ``raw_sha256`` + ``bytes`` — the exact on-disk bytes, which catch
   truncation and single-byte tampering of a committed golden.
 """
@@ -38,14 +38,12 @@ class FileEntry:
     sha256: str
     raw_sha256: str
     bytes: int
-    volatile: tuple[str, ...] = ()
 
     def to_payload(self) -> dict[str, Any]:
         return {
             "sha256": self.sha256,
             "raw_sha256": self.raw_sha256,
             "bytes": self.bytes,
-            "volatile": list(self.volatile),
         }
 
 
@@ -83,7 +81,6 @@ def parse_manifest(text: str) -> Manifest:
                 sha256=entry["sha256"],
                 raw_sha256=entry["raw_sha256"],
                 bytes=int(entry["bytes"]),
-                volatile=tuple(entry.get("volatile", ())),
             )
             for name, entry in payload["files"].items()
         }
@@ -143,7 +140,7 @@ def manifest_errors(directory: str | pathlib.Path) -> list[str]:
                 f"{entry.raw_sha256[:12]}... (content changed)"
             )
             continue
-        canonical = canonical_file_hash(path, entry.volatile)
+        canonical = canonical_file_hash(path)
         if canonical != entry.sha256:
             problems.append(
                 f"{name}: canonical sha256 drifted from manifest "

@@ -1,28 +1,26 @@
 """The registry of artifact-producing surfaces covered by goldens.
 
 A *surface* is one reproducible artifact set: a figure sweep, an
-ablation, a chaos matrix, the benchmark snapshot's semantic projection.
-Each surface's ``generate`` function writes its artifacts through a
-crash-safe :class:`RunWriter` using **explicit quick-scale parameters**
-— never environment-dependent defaults (``REPRO_FULL``) — so two runs
-on any two hosts produce byte-identical files.
+ablation, a chaos matrix, a fault campaign.  Each surface's
+``generate`` function writes its artifacts through a crash-safe
+:class:`RunWriter` using **explicit quick-scale parameters** — never
+environment-dependent defaults (``REPRO_FULL``) — so two runs on any
+two hosts produce byte-identical files.
 
-Everything recorded here is simulated-time deterministic.  The one
-wall-clock-contaminated artifact, ``BENCH_kernel.json``, participates
-through its scrubbed semantic projection: the host fingerprint and
-timings stay in the real snapshot but never reach a golden.
+Everything recorded here is regenerated from code and is
+simulated-time deterministic: no surface reads a committed file or
+records a host fingerprint or a wall-clock measurement.  Host
+performance is measured by ``perfbench/``, never by a golden.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ExperimentError
-from repro.goldens.scrub import BENCH_VOLATILE, scrub_payload
 from repro.goldens.writer import RunWriter
 
 #: Repository root (src layout: src/repro/goldens/surfaces.py -> root).
@@ -308,27 +306,6 @@ def _generate_sharded_root(run: RunWriter) -> None:
     run.write_json("sharded_root.json", {"records": records})
 
 
-def _generate_bench_kernel(run: RunWriter) -> None:
-    """Semantic projection of ``BENCH_kernel.json``.
-
-    The live snapshot keeps its host fingerprint and wall-clock numbers;
-    the golden records only the host-portable fields (schema and burst
-    ablation counts) obtained by
-    applying :data:`BENCH_VOLATILE` — the exact scrub the manifest hash
-    uses, so drift here means a semantic benchmark change, never a
-    slower machine.
-    """
-    bench_path = REPO_ROOT / "BENCH_kernel.json"
-    if not bench_path.is_file():
-        raise ExperimentError(
-            f"{bench_path} missing; run `make bench-json` first"
-        )
-    payload = json.loads(bench_path.read_text())
-    run.write_json(
-        "bench_semantic.json", scrub_payload(payload, BENCH_VOLATILE)
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class Surface:
     """One golden-covered artifact surface."""
@@ -341,8 +318,6 @@ class Surface:
 #: Every artifact-producing surface, in verification order (fast first).
 SURFACES: tuple[Surface, ...] = (
     Surface("figure1", _generate_figure1, "3-CPU locking comparison"),
-    Surface("bench_kernel", _generate_bench_kernel,
-            "BENCH_kernel.json semantic projection (host fields scrubbed)"),
     Surface("replication", _generate_replication,
             "multi-seed replication + same-seed determinism collapse"),
     Surface("figure2", _generate_figure2, "task-management speedup sweep"),

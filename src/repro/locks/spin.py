@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.core.node import NodeHandle
-from repro.errors import LockStateError
 from repro.locks.rmw import RemoteAtomics
 from repro.memory.varspace import FREE_VALUE, grant_value
 
@@ -79,12 +78,3 @@ class TtasSpinLock(TasSpinLock):
                 node.metrics.count("lock.acquired")
                 return
             # Lost the race; back to local spinning.
-
-
-def validate_spin_release(node: NodeHandle, var: str) -> None:
-    """Shared sanity check used by tests."""
-    value = node.store.read(var)
-    if value != FREE_VALUE and value != grant_value(node.id):
-        raise LockStateError(
-            f"node {node.id} releasing {var!r} but local copy shows {value}"
-        )

@@ -164,7 +164,7 @@ class NodeInterface:
         #: multi-write update packets actually sent.
         self.burst_writes = 0
         self.burst_flushes = 0
-        self.filter = HardwareBlockingFilter(node, enabled=echo_blocking)
+        self.filter = HardwareBlockingFilter(enabled=echo_blocking)
         self.groups: dict[str, SharingGroup] = {}
         #: var/lock name -> owning joined group (see :meth:`group_of`).
         self._group_cache: dict[str, SharingGroup] = {}
@@ -505,9 +505,6 @@ class NodeInterface:
     def disarm_lock_interrupt(self, lock: str) -> None:
         self._interrupts.pop(lock, None)
 
-    def interrupt_armed(self, lock: str) -> bool:
-        return lock in self._interrupts
-
     # ------------------------------------------------------------------
     # Inbound path
     # ------------------------------------------------------------------
@@ -847,9 +844,9 @@ class NodeInterface:
                             )
                         self.share_write(packet.var, FREE_VALUE)
                         return
-        # Inlined HardwareBlockingFilter.should_drop (Figure 6): drop a
-        # root echo of this node's own mutex-group data.  Kept branch-
-        # for-branch identical so ``filter.dropped`` stays exact.
+        # The hardware blocking filter, Figure 6 (H2)-(H4): drop a root
+        # echo of this node's own mutex-group data.  Lock values are
+        # never dropped; they drive the lock-change interrupt.
         flt = self.filter
         if (
             flt.enabled

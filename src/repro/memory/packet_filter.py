@@ -24,21 +24,13 @@ from __future__ import annotations
 
 
 class HardwareBlockingFilter:
-    """Decides whether an incoming apply packet must be dropped."""
+    """Per-node state of the Figure 6 filter.
 
-    def __init__(self, node: int, enabled: bool = True) -> None:
-        self.node = node
+    ``NodeInterface._process`` applies the predicate to every in-order
+    apply packet and counts the drops here.
+    """
+
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         #: Count of packets dropped by the filter (diagnostics / tests).
         self.dropped = 0
-
-    def should_drop(self, origin: int, is_mutex_data: bool, is_lock: bool) -> bool:
-        """Apply lines (H2)-(H4) of Figure 6 to one packet."""
-        if not self.enabled:
-            return False
-        if is_lock:
-            return False
-        drop = origin == self.node and is_mutex_data
-        if drop:
-            self.dropped += 1
-        return drop

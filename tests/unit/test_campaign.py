@@ -15,6 +15,7 @@ from repro.faults.campaign import (
     ddmin,
     generate_plan,
     recovery_unit,
+    run_campaign,
     smoke_config,
 )
 from repro.faults.plan import CRASH, DELAY, FaultPlan, crash
@@ -208,3 +209,22 @@ class TestChaosRunRow:
     def test_prefix_collision_is_a_hard_error(self):
         with pytest.raises(ExperimentError, match="seed"):
             chaos_run_row(self._values(), prefix={"seed": 9})
+
+    def test_errored_trial_emits_a_schema_complete_row(self, monkeypatch):
+        def fail(config):
+            raise FaultError("plan rejected")
+
+        monkeypatch.setattr("repro.faults.campaign.run_chaos", fail)
+        (outcome,) = run_campaign(CampaignConfig(trials=1)).outcomes
+        assert not outcome.ok
+        assert outcome.signature == ("error", "FaultError")
+        assert tuple(outcome.row) == (
+            "trial",
+            "kind",
+            "profile",
+            "topology",
+            "plan_events",
+            "minimized_events",
+        ) + CHAOS_RUN_FIELDS
+        assert outcome.row["stall"] == "FaultError: plan rejected"
+        assert outcome.row["ok"] is False

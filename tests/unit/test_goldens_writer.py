@@ -141,24 +141,6 @@ class TestRunWriter:
         with pytest.raises(ExperimentError, match="twice"):
             run.finalize()
 
-    def test_volatile_spec_recorded_in_manifest(self, tmp_path):
-        run = RunWriter(tmp_path / "run", "t")
-        run.write_json("a.json", {"host": "h", "rows": [1]}, volatile=("host",))
-        run.finalize()
-        manifest = load_manifest(tmp_path / "run")
-        assert manifest.files["a.json"].volatile == ("host",)
-        # Canonical hash must ignore the volatile field: rewrite with a
-        # different host and the recorded hash still matches.
-        run2 = RunWriter(tmp_path / "run2", "t")
-        run2.write_json("a.json", {"host": "other", "rows": [1]}, volatile=("host",))
-        run2.finalize()
-        manifest2 = load_manifest(tmp_path / "run2")
-        assert manifest.files["a.json"].sha256 == manifest2.files["a.json"].sha256
-        assert (
-            manifest.files["a.json"].raw_sha256
-            != manifest2.files["a.json"].raw_sha256
-        )
-
     def test_empty_directory_is_invalid(self, tmp_path):
         (tmp_path / "run").mkdir()
         assert manifest_errors(tmp_path / "run")

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import SequencingError
 from repro.memory.interface import ApplyPacket, NodeInterface
-from repro.memory.packet_filter import HardwareBlockingFilter
 from repro.memory.sharing_group import SharingGroup
 from repro.memory.store import LocalStore
 from repro.memory.varspace import LockDecl, VarDecl
@@ -46,30 +45,41 @@ def packet(seq, var="x", value=1, origin=0, mutex=False, lock=False):
     )
 
 
+#: (origin, group, kind, filter) for every Figure 6 input.  Only a root
+#: echo of this node's own mutex data is dropped, and only when the
+#: filter is on; lock values always apply (they drive the interrupt).
+FILTER_CASES = [
+    (origin, group, kind, state)
+    for origin in ("self", "other")
+    for group in ("mutex", "plain")
+    for kind in ("data", "lock")
+    for state in ("on", "off")
+]
+
+
 class TestHardwareBlockingFilter:
-    def test_drops_own_mutex_data_echo(self):
-        filt = HardwareBlockingFilter(node=1)
-        assert filt.should_drop(origin=1, is_mutex_data=True, is_lock=False)
-        assert filt.dropped == 1
-
-    def test_keeps_others_mutex_data(self):
-        filt = HardwareBlockingFilter(node=1)
-        assert not filt.should_drop(origin=2, is_mutex_data=True, is_lock=False)
-
-    def test_keeps_own_ordinary_data(self):
-        filt = HardwareBlockingFilter(node=1)
-        assert not filt.should_drop(origin=1, is_mutex_data=False, is_lock=False)
-
-    def test_never_drops_lock_values(self):
-        """Echoed local lock changes are part of the mutex group but are
-        not dropped (they drive the interrupt)."""
-        filt = HardwareBlockingFilter(node=1)
-        assert not filt.should_drop(origin=1, is_mutex_data=True, is_lock=True)
-
-    def test_disabled_filter_drops_nothing(self):
-        filt = HardwareBlockingFilter(node=1, enabled=False)
-        assert not filt.should_drop(origin=1, is_mutex_data=True, is_lock=False)
-        assert filt.dropped == 0
+    @pytest.mark.parametrize(
+        "origin,group,kind,state",
+        FILTER_CASES,
+        ids=["-".join(case) for case in FILTER_CASES],
+    )
+    def test_apply_path(self, origin, group, kind, state):
+        _, iface, store, _ = make_iface(node=1, echo_blocking=state == "on")
+        var = "L" if kind == "lock" else ("m" if group == "mutex" else "x")
+        before = store.read(var)
+        iface._receive(
+            packet(
+                0,
+                var=var,
+                value=5,
+                origin=1 if origin == "self" else 2,
+                mutex=group == "mutex",
+                lock=kind == "lock",
+            )
+        )
+        dropped = (origin, group, kind, state) == ("self", "mutex", "data", "on")
+        assert store.read(var) == (before if dropped else 5)
+        assert iface.filter.dropped == int(dropped)
 
 
 class TestSequencing:
