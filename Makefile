@@ -64,7 +64,9 @@ perfbench-smoke:
 	  | $(PY) -c 'import json, sys; line = sys.stdin.read().strip(); sys.exit(0 if line.startswith("{") and json.loads(line).get("correct") is True else 1)'
 
 # cProfile the quick Figure 2 + Figure 8 sweeps and print the top 20
-# hot spots by cumulative time (see docs/REPRODUCING.md, Performance).
+# hot spots by cumulative time, then the top 20 by self time (tottime),
+# the table to compare before and after a hot-path change (see
+# docs/REPRODUCING.md, Performance).
 profile:
 	PYTHONPATH=src $(PY) -c "\
 	import cProfile, pstats; \
@@ -72,7 +74,9 @@ profile:
 	from repro.experiments.figure8 import run_figure8; \
 	p = cProfile.Profile(); \
 	p.enable(); run_figure2(); run_figure8(); p.disable(); \
-	pstats.Stats(p).sort_stats('cumulative').print_stats(20)"
+	stats = pstats.Stats(p); \
+	stats.sort_stats('cumulative').print_stats(20); \
+	stats.sort_stats('tottime').print_stats(20)"
 
 # Python line totals of src/ and tests/ (ROADMAP tracks src lines).
 loc:

@@ -16,6 +16,10 @@ _message_ids = itertools.count(1)
 _next_message_id = _message_ids.__next__
 _NAN = float("nan")
 
+#: ``dst`` of a message shared by every target of one multicast: the
+#: receiving handler is bound to its node, so it never reads ``dst``.
+MULTICAST = -1
+
 
 class Message:
     """One network message.
@@ -24,9 +28,18 @@ class Message:
     instance is allocated per send on the hottest protocol path, and the
     plain ``__init__`` costs roughly half of the generated one.
 
+    A message is never changed after it is sent, so one object may be
+    delivered to several nodes.  An unhooked multicast (no loss model,
+    fault injector or tracer; see
+    :meth:`~repro.net.network.Network._fanout`) does exactly that: it
+    builds one message per payload, hands it to every target and sets
+    ``dst`` to :data:`MULTICAST`.  Handlers must therefore take their
+    own node id from where they are bound, never from ``msg.dst``.
+
     Attributes:
         src: Sending node id.
-        dst: Receiving node id.
+        dst: Receiving node id, or :data:`MULTICAST` on a message
+            shared by every target of one unhooked multicast.
         kind: Protocol tag, e.g. ``"update"``, ``"lock_request"``.
         payload: Arbitrary protocol data (not interpreted by the network).
         size_bytes: Wire size used for serialization delay.

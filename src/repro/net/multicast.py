@@ -94,8 +94,9 @@ class MulticastTree:
     ) -> None:
         """Send one packet from the root to every member.
 
-        The same payload object is shared across per-member messages;
-        receivers must treat it as read-only.
+        The same payload object, and without network hooks the same
+        :class:`~repro.net.message.Message`, reaches every member;
+        receivers must treat both as read-only.
 
         Args:
             kind: Message kind tag.

@@ -13,17 +13,21 @@ this property, exactly as Sesame builds it on ordered hardware links.
 :meth:`Network.send` delivers one :class:`Message`.
 :meth:`Network.send_fanout` and :meth:`Network.send_fanout_train` send
 one payload, or a train of them, to many targets through one loop,
-:meth:`Network._fanout`.  Each logical message keeps its own
-:class:`Message`, stats and FIFO-clamped arrival, but the deliveries of
-one call that share an arrival instant ride ONE heap event
-(:func:`~repro.net.message.fire_batch`).  A member's arrival depends
+:meth:`Network._fanout`.  Each logical message keeps its own stats
+and FIFO-clamped arrival, but the deliveries of one call that share an
+arrival instant ride ONE heap event
+(:func:`~repro.net.message.fire_batch`), and without a loss model,
+fault injector or tracer every target of one payload receives the same
+:class:`Message`, whose ``dst`` is
+:data:`~repro.net.message.MULTICAST`.  A member's arrival depends
 only on its hop count, so a multicast costs a few events, not one per
 member.  Order is unchanged: every delivery has priority 0 and one call
 owns a contiguous seq block, so nothing sorts between two deliveries of
 a batch, and anything a handler schedules gets a later seq.  Fanout
 plans cache each target's FIFO cell, hop latency and resolved handler.
-The loss model, fault injector and tracer run per message in that same
-loop.
+The loss model, fault injector and tracer read ``msg.dst``, so when any
+of them is installed the loop builds one :class:`Message` per target
+and runs them per message.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from heapq import heappush
 from typing import Callable
 
 from repro.errors import NetworkError
-from repro.net.message import Message, fire_batch
+from repro.net.message import MULTICAST, Message, fire_batch
 from repro.net.topology import Topology
 from repro.params import MachineParams
 from repro.sim.kernel import Simulator
@@ -340,8 +344,9 @@ class Network:
         """Send one payload from ``src`` to every target (multicast path).
 
         Observably identical to building and :meth:`send`-ing one
-        :class:`Message` per target, in target order; see
-        :meth:`_fanout`.
+        :class:`Message` per target, in target order, except that an
+        unhooked fanout hands every target the same message with
+        ``dst == MULTICAST``; see :meth:`_fanout`.
         """
         self._fanout(src, targets, kind, (payload,), (size_bytes,))
 
@@ -375,11 +380,17 @@ class Network:
         """The one fanout loop: send every ``(payload, size)`` pair to
         every target, one heap event per distinct arrival instant.
 
-        Messages are built entry-major, in the order one :meth:`send`
+        Deliveries are made entry-major, in the order one :meth:`send`
         per message would take, so seqs, loss-RNG draws and trace
-        records keep their per-message order.  Each message takes one
-        seq per delivery copy; a batch takes the seq of its first
-        delivery and holds its deliveries in seq order.
+        records keep their per-message order.  Each delivery copy takes
+        one seq; a batch takes the seq of its first delivery and holds
+        its deliveries in seq order.
+
+        Unhooked, one :class:`Message` per entry (``dst == MULTICAST``)
+        is shared by every target: handlers never change a delivered
+        message and take their node from where they are bound.  Hooked,
+        each target gets its own message with its real ``dst``, which
+        the loss model, the fault injector and the tracer read.
         """
         sim = self.sim
         now = sim._now
@@ -408,11 +419,13 @@ class Network:
         firsts: dict[float, int] = {}
         for payload, size in zip(payloads, sizes):
             serial = size * inverse if staged else size / bandwidth
+            if not hooked:
+                msg = Message(src, MULTICAST, kind, payload, size, None, now)
             for dst, fifo, base, handler in plan:
-                msg = Message(src, dst, kind, payload, size, None, now)
                 arrival = (now + base) + serial if staged else now + (base + serial)
                 copies = 1
                 if hooked:
+                    msg = Message(src, dst, kind, payload, size, None, now)
                     admitted = self._admit(msg, arrival)
                     if admitted is None:
                         continue

@@ -154,7 +154,9 @@ class Simulator:
 
         Args:
             until: Stop once the clock would pass this time.  Events at
-                exactly ``until`` still fire.
+                exactly ``until`` still fire.  A time before :attr:`now`
+                raises :class:`SimulationError`: the clock never moves
+                backwards.
             max_events: Safety valve; raise if more events than this fire.
                 It counts heap events, like :attr:`events_fired`: a
                 batch of same-instant deliveries from one fanout is one
@@ -165,6 +167,10 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run in the past: until={until} < now={self._now}"
+            )
         self._running = True
         fired = 0
         # The loop below is a manually inlined pop/advance cycle: it

@@ -12,15 +12,19 @@ paths with identical traffic and require the observable streams to be
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.net.loss import LossModel
-from repro.net.message import Message, fire_batch
+from repro.net.message import MULTICAST, Message, fire_batch
 from repro.net.network import Network
 from repro.net.topology import MeshTorus
 from repro.params import MachineParams
 from repro.sim.kernel import Simulator
+from repro.sim.trace import Tracer
 
 
 def make_net(n=9, loss_model=None, **params):
@@ -53,7 +57,8 @@ def stats_snapshot(net):
 
 
 class TestFanoutParity:
-    """Satellite: send_fanout must equal one send per target, exactly."""
+    """send_fanout must equal one send per target: every delivery field
+    but ``dst`` and ``msg_id`` is equal (see TestSharedMessage)."""
 
     def run_per_message(self, payload="p", size=16, warm=None):
         sim, net = make_net()
@@ -179,6 +184,69 @@ class TestTrainParity:
         got, _ = self.run_train([0, 1, 2, 3, 4], [16] * 5)
         for node in self.TARGETS:
             assert [payload for _, payload, _ in got[node]] == [0, 1, 2, 3, 4]
+
+
+class TestSharedMessage:
+    """An unhooked fanout hands every target one shared Message whose
+    ``dst`` is MULTICAST; any network hook restores one per target."""
+
+    TARGETS = tuple(range(1, 9))
+
+    def collect(self, net):
+        """Attach recorders; returns {node: [msg, ...]}."""
+        got = {node: [] for node in range(9)}
+        for node in range(9):
+            net.attach(node, lambda msg, node=node: got[node].append(msg))
+        return got
+
+    def test_fanout_shares_one_message_across_targets(self):
+        sim, net = make_net()
+        got = self.collect(net)
+        payload = object()
+        sim.schedule(1e-3, lambda: net.send_fanout(0, self.TARGETS, "k", payload, 24))
+        sim.run()
+        msgs = [got[node][0] for node in self.TARGETS]
+        assert all(len(got[node]) == 1 for node in self.TARGETS)
+        assert len({id(msg) for msg in msgs}) == 1
+        msg = msgs[0]
+        assert msg.dst == MULTICAST
+        assert (msg.src, msg.kind, msg.payload, msg.size_bytes, msg.sent_at) == (
+            0,
+            "k",
+            payload,
+            24,
+            1e-3,
+        )
+
+    def test_train_shares_one_message_per_entry(self):
+        sim, net = make_net()
+        got = self.collect(net)
+        net.send_fanout_train(0, self.TARGETS, "k", ["a", "b", "c"], [16, 16, 16])
+        sim.run()
+        per_entry = [{id(got[node][i]) for node in self.TARGETS} for i in range(3)]
+        assert all(len(ids) == 1 for ids in per_entry)
+        assert len(set.union(*per_entry)) == 3
+        assert [got[1][i].payload for i in range(3)] == ["a", "b", "c"]
+        assert all(got[1][i].dst == MULTICAST for i in range(3))
+
+    @pytest.mark.parametrize("hook", ["loss", "trace", "faults"])
+    def test_hooked_fanout_builds_one_message_per_target(self, hook):
+        sim = Simulator(tracer=Tracer() if hook == "trace" else None)
+        loss = LossModel(0.0, random.Random(7)) if hook == "loss" else None
+        net = Network(sim, MeshTorus(9), MachineParams(), loss)
+        if hook == "faults":
+            machine = SimpleNamespace(
+                sim=sim, network=net, n_nodes=9, groups={}, root_engine=None
+            )
+            FaultInjector(machine, FaultPlan([], seed=0)).install()
+        got = self.collect(net)
+        net.send_fanout_train(0, self.TARGETS, "k", ["a", "b"], [16, 16])
+        sim.run()
+        for node in self.TARGETS:
+            assert [msg.payload for msg in got[node]] == ["a", "b"]
+            assert all(msg.dst == node for msg in got[node])
+        msgs = [msg for node in self.TARGETS for msg in got[node]]
+        assert len({id(msg) for msg in msgs}) == 16
 
 
 class TestFireBatch:

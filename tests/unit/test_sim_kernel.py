@@ -104,6 +104,20 @@ class TestSimulator:
         assert end == 2.0
         assert sim.pending_events == 1
 
+    def test_run_until_in_the_past_is_rejected(self):
+        """The clock never moves backwards, so later at() calls cannot
+        accept times that have already passed."""
+        sim = Simulator()
+        sim.schedule(20.0, lambda: None)
+        sim.run(until=15.0)
+        pending = sim.pending_events
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.run(until=5.0)
+        assert sim.now == 15.0
+        assert sim.pending_events == pending == 1
+        with pytest.raises(SimulationError):
+            sim.at(10.0, lambda: None)
+
     def test_events_at_until_still_fire(self):
         sim = Simulator()
         fired: list[float] = []
