@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test chaos-smoke failover-smoke campaign-smoke sharded-root-smoke goldens verify-goldens bench bench-full perfbench-smoke profile loc examples figures all clean
+.PHONY: install test chaos-smoke failover-smoke campaign-smoke sharded-root-smoke goldens verify-goldens reproduce perfbench-smoke profile loc examples figures all clean
 
 install:
 	$(PY) setup.py develop
@@ -48,11 +48,11 @@ verify-goldens:
 goldens:
 	REPRO_REGEN_GOLDENS=1 PYTHONPATH=src $(PY) -m repro update-goldens
 
-bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only
-
-bench-full:
-	REPRO_FULL=1 $(PY) -m pytest benchmarks/ --benchmark-only -s
+# Every paper claim at quick scale (~7 s); exit 0 only when each
+# expectation holds.  `PYTHONPATH=src python -m repro reproduce --full`
+# runs the paper's sizes.
+reproduce:
+	PYTHONPATH=src $(PY) -m repro reproduce
 
 # Benchmark smoke: one traced optimistic_contention run of perfbench/
 # (see BENCHMARK.json).  Fails unless the run's last output line, its
@@ -94,7 +94,7 @@ figures:
 	$(PY) -m repro figure7
 	$(PY) -m repro grouping
 
-all: test bench
+all: test reproduce verify-goldens
 
 clean:
 	rm -rf .pytest_cache src/repro.egg-info

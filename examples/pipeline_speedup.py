@@ -21,16 +21,11 @@ from __future__ import annotations
 import sys
 
 from repro.experiments import figure8
+from repro.experiments.common import figure8_scale
 
 
 def main() -> None:
-    full = "--full" in sys.argv
-    if full:
-        sizes = (2, 4, 8, 16, 32, 64, 128)
-        data_size = 1024
-    else:
-        sizes = (2, 4, 8, 16)
-        data_size = 128
+    sizes, data_size = figure8_scale(full="--full" in sys.argv)
 
     print(f"sweeping sizes {sizes} with data size {data_size} ...")
     rows = figure8.run_figure8(sizes=sizes, data_size=data_size)

@@ -17,16 +17,11 @@ from __future__ import annotations
 import sys
 
 from repro.experiments import figure2
+from repro.experiments.common import figure2_scale
 
 
 def main() -> None:
-    full = "--full" in sys.argv
-    if full:
-        sizes = (3, 5, 9, 17, 33, 65, 129)
-        total_tasks = 1024
-    else:
-        sizes = (3, 5, 9, 17)
-        total_tasks = 128
+    sizes, total_tasks = figure2_scale(full="--full" in sys.argv)
 
     print(f"sweeping sizes {sizes} with {total_tasks} tasks ...")
     rows = figure2.run_figure2(sizes=sizes, total_tasks=total_tasks)

@@ -33,15 +33,9 @@ import sys
 from typing import Sequence
 
 from repro.consistency.base import system_names
-from repro.experiments import figure1, figure2, figure8
-from repro.experiments.ablation import (
-    render_shootout,
-    render_threshold,
-    run_echo_blocking_ablation,
-    run_lock_primitive_shootout,
-    run_lock_protocol_shootout,
-    run_threshold_sweep,
-)
+from repro.errors import UsageError
+from repro.experiments import digest, figure1, figure2, figure8
+from repro.experiments.common import figure2_scale, figure8_scale
 from repro.metrics.report import format_table
 
 
@@ -62,64 +56,41 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _exit_code(failures: int) -> int:
+    return 1 if failures else 0
+
+
 def _cmd_figure1(args: argparse.Namespace) -> int:
     rows = figure1.run_figure1(
         update_time=args.update_us * 1e-6, cpu2_delay=args.delay_us * 1e-6
     )
-    print(figure1.render(rows))
-    print()
-    checks = figure1.expectations(rows)
-    for check in checks:
-        print(check)
-    return 0 if all(c.holds for c in checks) else 1
+    return _exit_code(digest.report(figure1.render(rows), figure1.expectations(rows)))
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
-    if args.sizes:
-        sizes = _parse_sizes(args.sizes)
-    elif args.full:
-        sizes = (3, 5, 9, 17, 33, 65, 129)
-    else:
-        sizes = (3, 5, 9, 17)
-    tasks = args.tasks or (1024 if args.full else 128)
+    sizes, tasks = figure2_scale(args.full)
     rows = figure2.run_figure2(
-        sizes=sizes,
-        total_tasks=tasks,
+        sizes=_parse_sizes(args.sizes) if args.sizes else sizes,
+        total_tasks=args.tasks or tasks,
         jobs=args.jobs,
     )
-    print(figure2.render(rows))
+    text = figure2.render(rows)
     if args.chart:
-        print()
-        print(figure2.chart(rows))
-    print()
-    checks = figure2.expectations(rows)
-    for check in checks:
-        print(check)
-    return 0 if all(c.holds for c in checks) else 1
+        text += "\n\n" + figure2.chart(rows)
+    return _exit_code(digest.report(text, figure2.expectations(rows)))
 
 
 def _cmd_figure8(args: argparse.Namespace) -> int:
-    if args.sizes:
-        sizes = _parse_sizes(args.sizes)
-    elif args.full:
-        sizes = (2, 4, 8, 16, 32, 64, 128)
-    else:
-        sizes = (2, 4, 8, 16)
-    data = args.data or (1024 if args.full else 128)
+    sizes, data = figure8_scale(args.full)
     rows = figure8.run_figure8(
-        sizes=sizes,
-        data_size=data,
+        sizes=_parse_sizes(args.sizes) if args.sizes else sizes,
+        data_size=args.data or data,
         jobs=args.jobs,
     )
-    print(figure8.render(rows))
+    text = figure8.render(rows)
     if args.chart:
-        print()
-        print(figure8.chart(rows))
-    print()
-    checks = figure8.expectations(rows)
-    for check in checks:
-        print(check)
-    return 0 if all(c.holds for c in checks) else 1
+        text += "\n\n" + figure8.chart(rows)
+    return _exit_code(digest.report(text, figure8.expectations(rows)))
 
 
 def _cmd_rootshard(args: argparse.Namespace) -> int:
@@ -211,62 +182,19 @@ def _cmd_sharded_root_smoke(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure7(args: argparse.Namespace) -> int:
-    from repro.workloads.scenarios import Figure7Config, run_figure7
-
-    result = run_figure7(Figure7Config())
-    extra = result.extra
-    print(
-        format_table(
-            ["event", "value"],
-            [
-                ["requester rolled back", extra["requester_rolled_back"]],
-                ["stale echoes dropped (Fig. 6)", extra["echoes_dropped"]],
-                ["speculative root discards", extra["root_discards"]],
-                ["all nodes converged", extra["converged"]],
-            ],
-            title="Figure 7: the most complex rollback interaction",
-        )
-    )
-    return 0 if extra["converged"] and extra["requester_rolled_back"] else 1
+    return _exit_code(digest.run_sections((digest.FIGURE7,)))
 
 
 def _cmd_ablations(args: argparse.Namespace) -> int:
-    jobs = getattr(args, "jobs", None)
-    print(
-        render_threshold(
-            run_threshold_sweep(think_times=(15e-6, 50e-6), jobs=jobs)
-        )
-    )
-    print()
-    print(render_shootout(run_lock_protocol_shootout(jobs=jobs)))
-    print()
-    print(render_shootout(run_lock_primitive_shootout(jobs=jobs)))
-    print()
-    with_filter, without_filter = run_echo_blocking_ablation()
-    print(
-        format_table(
-            ["echo blocking", "correct", "chain intact"],
-            [
-                ["on", with_filter.extra["correct"], with_filter.extra["chain_ok"]],
-                [
-                    "off",
-                    without_filter.extra["correct"],
-                    without_filter.extra["chain_ok"],
-                ],
-            ],
-            title="Ablation A2: hardware blocking filter",
-        )
-    )
-    return 0
+    return _exit_code(digest.run_sections(digest.ABLATION_SECTIONS, jobs=args.jobs))
 
 
 def _cmd_grouping(args: argparse.Namespace) -> int:
-    from repro.experiments.grouping import render, run_grouping_sweep
+    from repro.experiments import grouping
 
     sizes = _parse_sizes(args.sizes) if args.sizes else (8, 16, 32)
-    rows = run_grouping_sweep(sizes=sizes)
-    print(render(rows))
-    return 0 if all(row.slowdown > 1.0 for row in rows) else 1
+    rows = grouping.run_grouping_sweep(sizes=sizes)
+    return _exit_code(digest.report(grouping.render(rows), grouping.expectations(rows)))
 
 
 def _chaos_combos(args: argparse.Namespace) -> list[tuple[str, str, str]]:
@@ -656,60 +584,8 @@ def _cmd_update_goldens(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    """Regenerate every paper artefact in one go and print a digest."""
-    failures = 0
-    banner = "=" * 68
-
-    print(banner)
-    print("FIGURE 1 — locking comparison (3 CPUs)")
-    print(banner)
-    rows1 = figure1.run_figure1()
-    print(figure1.render(rows1))
-    checks = figure1.expectations(rows1)
-    failures += sum(not c.holds for c in checks)
-    for check in checks:
-        print(check)
-
-    print()
-    print(banner)
-    print("FIGURE 2 — task-management speedup")
-    print(banner)
-    sizes2 = (3, 5, 9, 17, 33, 65, 129) if args.full else (3, 5, 9, 17)
-    tasks = 1024 if args.full else 128
-    rows2 = figure2.run_figure2(sizes=sizes2, total_tasks=tasks, jobs=args.jobs)
-    print(figure2.render(rows2))
-    print(figure2.chart(rows2))
-    checks = figure2.expectations(rows2)
-    failures += sum(not c.holds for c in checks)
-    for check in checks:
-        print(check)
-
-    print()
-    print(banner)
-    print("FIGURE 8 — mutex methods on the pipeline")
-    print(banner)
-    sizes8 = (2, 4, 8, 16, 32, 64, 128) if args.full else (2, 4, 8, 16)
-    data = 1024 if args.full else 128
-    rows8 = figure8.run_figure8(sizes=sizes8, data_size=data, jobs=args.jobs)
-    print(figure8.render(rows8))
-    print(figure8.chart(rows8))
-    checks = figure8.expectations(rows8)
-    failures += sum(not c.holds for c in checks)
-    for check in checks:
-        print(check)
-
-    print()
-    print(banner)
-    print("FIGURE 7 — rollback interaction")
-    print(banner)
-    failures += _cmd_figure7(args)
-
-    print()
-    print(banner)
-    print("ABLATIONS")
-    print(banner)
-    _cmd_ablations(args)
-
+    """Run every digest section and print the pass/fail summary."""
+    failures = digest.run_sections(digest.SECTIONS, full=args.full, jobs=args.jobs)
     print()
     if failures:
         print(f"REPRODUCTION DIGEST: {failures} expectation(s) FAILED")
@@ -946,7 +822,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

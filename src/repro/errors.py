@@ -128,6 +128,13 @@ class ExperimentError(ReproError):
     """An experiment sweep was configured with invalid parameters."""
 
 
+class UsageError(ExperimentError):
+    """Bad input from outside the program, such as an environment variable.
+
+    The CLI reports it as one line on stderr with exit code 2.
+    """
+
+
 class FaultError(ReproError):
     """An invalid fault plan or fault-injection request.
 

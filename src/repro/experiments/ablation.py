@@ -10,12 +10,16 @@
   systems on the shared-counter kernel.
 * :func:`run_force_modes` — forcing the optimistic runner always-on /
   always-off isolates the value of the usage-frequency history.
+
+Each run has its ``*_expectations`` checks, which ``repro ablations``
+and ``repro reproduce`` gate on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.common import PaperExpectation
 from repro.experiments.runner import SweepExecutor
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
@@ -117,6 +121,18 @@ def render_threshold(rows: list[ThresholdRow]) -> str:
     )
 
 
+def threshold_expectations(rows: list[ThresholdRow]) -> list[PaperExpectation]:
+    """A1: under light contention a permissive threshold costs nothing."""
+    light = {row.threshold: row.elapsed for row in rows if row.think_time == 50e-6}
+    return [
+        PaperExpectation(
+            "at light contention (50 us think) threshold 0.3 is no slower "
+            "than the fully conservative 0.0 (bound: 1.02x)",
+            light[0.3] <= light[0.0] * 1.02,
+        )
+    ]
+
+
 @dataclass(frozen=True, slots=True)
 class ShootoutRow:
     """One lock protocol / consistency system on the counter kernel."""
@@ -213,6 +229,32 @@ def render_shootout(rows: list[ShootoutRow]) -> str:
     )
 
 
+def shootout_expectations(rows: list[ShootoutRow]) -> list[PaperExpectation]:
+    """A3: every protocol is correct; A3b's spin baselines lose to GWC."""
+    checks = [
+        PaperExpectation(
+            "every lock protocol keeps the counter correct",
+            all(row.correct for row in rows),
+        )
+    ]
+    by_protocol = {row.system: row for row in rows}
+    if "tas" in by_protocol:
+        tas = by_protocol["tas"]
+        checks += [
+            PaperExpectation(
+                "the paper's queue-based GWC lock is no slower than "
+                "test-and-set",
+                by_protocol["gwc_queue"].elapsed <= tas.elapsed,
+            ),
+            PaperExpectation(
+                "test-and-test-and-set makes fewer remote attempts than "
+                "test-and-set",
+                by_protocol["ttas"].remote_attempts < tas.remote_attempts,
+            ),
+        ]
+    return checks
+
+
 def run_echo_blocking_ablation(rounds: int = 6, n_nodes: int = 8):
     """A2: the double-write hazard with and without the Figure 6 filter.
 
@@ -230,6 +272,42 @@ def run_echo_blocking_ablation(rounds: int = 6, n_nodes: int = 8):
     return with_filter, without_filter
 
 
+def render_echo_blocking(pair) -> str:
+    return format_table(
+        ["echo blocking", "correct", "chain intact", "echoes dropped"],
+        [
+            [label, r.extra["correct"], r.extra["chain_ok"], r.extra["echoes_dropped"]]
+            for label, r in zip(("on (Figure 6)", "off (ablation)"), pair)
+        ],
+        title="Ablation A2: hardware blocking filter",
+    )
+
+
+def echo_blocking_expectations(pair) -> list[PaperExpectation]:
+    """A2: the Figure 6 filter is what keeps the double write correct."""
+    with_filter, without_filter = pair
+    return [
+        PaperExpectation(
+            "with echo blocking (Figure 6) the double write stays correct",
+            bool(with_filter.extra["correct"]),
+        ),
+        PaperExpectation(
+            "without echo blocking the double write loses an update",
+            not without_filter.extra["correct"],
+        ),
+    ]
+
+
+@dataclass(frozen=True, slots=True)
+class ForceModeRow:
+    """One optimistic-runner mode on the contended counter."""
+
+    mode: str
+    elapsed: float
+    rollbacks: int
+    successes: int
+
+
 def run_force_modes(
     n_nodes: int = 6,
     increments_per_node: int = 12,
@@ -240,13 +318,13 @@ def run_force_modes(
 
     Under contention, always-optimistic wastes work on rollbacks and
     always-regular hides nothing; the history should land near the
-    better of the two.  Returns ``{mode: WorkloadResult}``.
+    better of the two.  Returns one row per mode.
     """
     from repro.workloads.base import build_machine, finish
     from repro.workloads.counter import COUNTER, GROUP, LOCK, _increment_body, _worker
     from repro.core.section import Section
 
-    results = {}
+    rows = []
     for mode in ("adaptive", "optimistic", "regular"):
         force = None if mode == "adaptive" else mode
         machine, system = build_machine(
@@ -274,7 +352,36 @@ def run_force_modes(
             machine.spawn(
                 _worker(node, system, config, section), name=f"force-{node.id}"
             )
-        results[mode] = finish(machine, system)
+        result = finish(machine, system)
         if machine.checker is not None:
             machine.checker.verify_chain(COUNTER, 0)
-    return results
+        rows.append(
+            ForceModeRow(
+                mode=mode,
+                elapsed=result.elapsed,
+                rollbacks=result.counter("opt.rollbacks"),
+                successes=result.counter("opt.successes"),
+            )
+        )
+    return rows
+
+
+def render_force_modes(rows: list[ForceModeRow]) -> str:
+    return format_table(
+        ["mode", "elapsed (us)", "rollbacks", "successes"],
+        [[row.mode, row.elapsed * 1e6, row.rollbacks, row.successes] for row in rows],
+        title="Ablation A5: usage-history value (adaptive vs forced modes)",
+    )
+
+
+def force_mode_expectations(rows: list[ForceModeRow]) -> list[PaperExpectation]:
+    """A5: the usage history lands near the better fixed mode."""
+    elapsed = {row.mode: row.elapsed for row in rows}
+    best_fixed = min(elapsed["optimistic"], elapsed["regular"])
+    return [
+        PaperExpectation(
+            "the adaptive history is within 1.25x of the better fixed mode "
+            f"(measured {elapsed['adaptive'] / best_fixed:.2f}x)",
+            elapsed["adaptive"] <= best_fixed * 1.25,
+        )
+    ]

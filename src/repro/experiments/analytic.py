@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.common import PaperExpectation
 from repro.metrics.report import format_table
 from repro.net.topology import make_topology
 from repro.params import PAPER_PARAMS, MachineParams
@@ -150,3 +151,23 @@ def render(rows: list[AnalyticRow]) -> str:
         ],
         title="Analytic model vs. simulation (Figure 8 pipeline)",
     )
+
+
+def expectations(rows: list[AnalyticRow]) -> list[PaperExpectation]:
+    """The closed form predicts the simulation and the optimistic gain."""
+    worst = max(max(row.gwc_error, row.optimistic_error) for row in rows)
+    return [
+        PaperExpectation(
+            "the four-term model predicts simulated GWC and optimistic "
+            f"power within 3% at every size (worst {worst * 100:.2f}%)",
+            all(
+                row.gwc_error < 0.03 and row.optimistic_error < 0.03
+                for row in rows
+            ),
+        ),
+        PaperExpectation(
+            "the model predicts more power for optimistic than for "
+            "non-optimistic GWC at every size",
+            all(row.predicted_optimistic > row.predicted_gwc for row in rows),
+        ),
+    ]

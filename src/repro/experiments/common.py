@@ -1,55 +1,34 @@
-"""Shared experiment plumbing: scales, sweeps, and expectations.
+"""Shared experiment plumbing: sweep sizes and paper expectations.
 
 The paper's sweeps run 1024 tasks on up to 129 processors; that is
 minutes of wall-clock in a pure-Python simulator, too slow for a unit
-test loop.  Experiments therefore support two scales:
+test loop.  Figures 2 and 8 therefore have two sizes, and this module
+holds the only table of them:
 
-* ``quick`` — reduced sizes, used by default in tests and benchmarks;
-* ``full``  — the paper's sizes, enabled with ``REPRO_FULL=1`` (used to
-  produce the numbers recorded in EXPERIMENTS.md).
+* quick — reduced sizes, the default everywhere (tests, goldens,
+  examples, ``make profile``);
+* full  — the paper's sizes, picked by the ``--full`` flag of ``repro
+  reproduce``, ``repro figure2`` and ``repro figure8`` (the numbers
+  recorded in EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-SCALE_QUICK = "quick"
-SCALE_FULL = "full"
 
-#: Environment variable that switches benchmarks to paper scale.
-FULL_ENV = "REPRO_FULL"
-
-
-def sweep_scale() -> str:
-    """The active scale, from the ``REPRO_FULL`` environment variable."""
-    return SCALE_FULL if os.environ.get(FULL_ENV, "") not in ("", "0") else SCALE_QUICK
+def figure2_scale(full: bool = False) -> tuple[tuple[int, ...], int]:
+    """Figure 2's (network sizes, total tasks); sizes are 2^k + 1."""
+    if full:
+        return (3, 5, 9, 17, 33, 65, 129), 1024
+    return (3, 5, 9, 17), 128
 
 
-def network_sizes_fig2(scale: str | None = None) -> tuple[int, ...]:
-    """Figure 2's network sizes: powers of two plus one."""
-    scale = scale or sweep_scale()
-    if scale == SCALE_FULL:
-        return (3, 5, 9, 17, 33, 65, 129)
-    return (3, 5, 9, 17)
-
-
-def total_tasks_fig2(scale: str | None = None) -> int:
-    scale = scale or sweep_scale()
-    return 1024 if scale == SCALE_FULL else 128
-
-
-def network_sizes_fig8(scale: str | None = None) -> tuple[int, ...]:
-    """Figure 8's network sizes: powers of two, 2..128."""
-    scale = scale or sweep_scale()
-    if scale == SCALE_FULL:
-        return (2, 4, 8, 16, 32, 64, 128)
-    return (2, 4, 8, 16)
-
-
-def data_size_fig8(scale: str | None = None) -> int:
-    scale = scale or sweep_scale()
-    return 1024 if scale == SCALE_FULL else 128
+def figure8_scale(full: bool = False) -> tuple[tuple[int, ...], int]:
+    """Figure 8's (network sizes, data size); sizes are powers of two."""
+    if full:
+        return (2, 4, 8, 16, 32, 64, 128), 1024
+    return (2, 4, 8, 16), 128
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import (
-    PaperExpectation,
-    network_sizes_fig2,
-    total_tasks_fig2,
-)
+from repro.experiments.common import PaperExpectation, figure2_scale
 from repro.experiments.runner import SweepExecutor
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
@@ -77,12 +73,14 @@ def run_figure2(
     produced by running the same GWC workload with a zero-delay
     parameter set, exactly as the paper defines it.
 
-    Each network size is an independent simulation point; ``jobs``
-    (default: the ``REPRO_JOBS`` env var) fans them across worker
-    processes without changing any result.
+    ``sizes`` and ``total_tasks`` default to the quick scale.  Each
+    network size is an independent simulation point; ``jobs`` (default:
+    the ``REPRO_JOBS`` env var) fans them across worker processes
+    without changing any result.
     """
-    sizes = sizes if sizes is not None else network_sizes_fig2()
-    total_tasks = total_tasks if total_tasks is not None else total_tasks_fig2()
+    quick_sizes, quick_tasks = figure2_scale()
+    sizes = sizes if sizes is not None else quick_sizes
+    total_tasks = total_tasks if total_tasks is not None else quick_tasks
     points = [
         (n_nodes, total_tasks, task_time, produce_ratio, params)
         for n_nodes in sizes
@@ -129,6 +127,25 @@ def expectations(rows: list[Figure2Row]) -> list[PaperExpectation]:
                 entry_peak_n < gwc_peak_n,
             )
         )
+    # The paper's peak values need its full 129-CPU sweep.
+    if rows[-1].n_nodes >= 129:
+        checks += [
+            PaperExpectation(
+                "GWC's peak speedup is more than 2x entry consistency's "
+                f"(paper: 3.7x; measured {gwc_peak / entry_peak:.2f}x)",
+                gwc_peak / entry_peak > 2.0,
+            ),
+            PaperExpectation(
+                "entry consistency peaks between 15 and 35 "
+                f"(paper: 22.5; measured {entry_peak:.1f})",
+                15 < entry_peak < 35,
+            ),
+            PaperExpectation(
+                "GWC peaks above 45 "
+                f"(paper: 84.1; measured {gwc_peak:.1f})",
+                gwc_peak > 45,
+            ),
+        ]
     return checks
 
 

@@ -31,6 +31,7 @@ from repro.core.machine import DSMMachine
 from repro.core.node import NodeHandle
 from repro.core.section import Section, SectionContext
 from repro.errors import ExperimentError
+from repro.experiments.common import PaperExpectation
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
 
@@ -192,3 +193,24 @@ def render(rows: list[GroupingRow]) -> str:
         ],
         title="Grouping ablation: per-group roots vs one global root",
     )
+
+
+def expectations(rows: list[GroupingRow]) -> list[PaperExpectation]:
+    """Section 1.2's warning, checked against the sweep."""
+    checks = [
+        PaperExpectation(
+            "one global root is more than 1.5x slower than per-group roots "
+            "at every size (min slowdown "
+            f"{min(row.slowdown for row in rows):.2f})",
+            all(row.slowdown > 1.5 for row in rows),
+        )
+    ]
+    if len(rows) > 1:
+        checks.append(
+            PaperExpectation(
+                "the global root's elapsed time grows from the smallest "
+                "machine to the largest",
+                rows[-1].merged_elapsed > rows[0].merged_elapsed,
+            )
+        )
+    return checks

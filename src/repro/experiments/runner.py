@@ -27,7 +27,7 @@ import os
 import sys
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
-from repro.errors import ExperimentError
+from repro.errors import UsageError
 
 #: Environment variable selecting the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -37,14 +37,17 @@ R = TypeVar("R")
 
 
 def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (absent/empty/invalid -> 1)."""
+    """Worker count from ``REPRO_JOBS``: absent/empty -> 1, below 1 -> 1.
+
+    Raises :class:`~repro.errors.UsageError` when it is not an integer.
+    """
     raw = os.environ.get(JOBS_ENV, "").strip()
     if not raw:
         return 1
     try:
         jobs = int(raw)
     except ValueError:
-        raise ExperimentError(
+        raise UsageError(
             f"{JOBS_ENV} must be an integer, got {raw!r}"
         ) from None
     return max(1, jobs)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.experiments.common import PaperExpectation
 from repro.experiments.runner import SweepExecutor
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
@@ -108,3 +109,42 @@ def render(rows: list[SensitivityRow]) -> str:
         ],
         title="Sensitivity: network power vs. network cost (Fig. 8 pipeline)",
     )
+
+
+def expectations(rows: list[SensitivityRow]) -> list[PaperExpectation]:
+    """The optimistic advantage under the swept network cost."""
+    checks = [
+        PaperExpectation(
+            "optimistic beats non-optimistic GWC at every setting",
+            all(row.optimistic_power > row.gwc_power for row in rows),
+        )
+    ]
+    if rows[0].parameter == "hop_latency_ns":
+        # The gain grows while the lock round trip still fits under the
+        # mutex section, then saturates: speculation hides at most the
+        # section's own length (the paper sizes M so the round trip "can
+        # initially be overlapped").
+        gains = [row.optimistic_gain for row in rows]
+        checks += [
+            PaperExpectation(
+                "the optimistic gain grows from the first hop latency to "
+                f"the second ({gains[0]:.3f} -> {gains[1]:.3f})",
+                gains[1] > gains[0],
+            ),
+            PaperExpectation(
+                "optimistic > non-optimistic GWC > entry at every hop latency",
+                all(
+                    row.optimistic_power > row.gwc_power > row.entry_power
+                    for row in rows
+                ),
+            ),
+        ]
+    else:
+        powers = [row.optimistic_power for row in rows]
+        checks.append(
+            PaperExpectation(
+                "scarcer bandwidth never raises optimistic power",
+                powers == sorted(powers, reverse=True),
+            )
+        )
+    return checks

@@ -3,9 +3,10 @@
 A *surface* is one reproducible artifact set: a figure sweep, an
 ablation, a chaos matrix, a fault campaign.  Each surface's
 ``generate`` function writes its artifacts through a crash-safe
-:class:`RunWriter` using **explicit quick-scale parameters** — never
-environment-dependent defaults (``REPRO_FULL``) — so two runs on any
-two hosts produce byte-identical files.
+:class:`RunWriter` at **quick scale** (Figures 2 and 8 take theirs
+from :mod:`repro.experiments.common`), with nothing read from the
+environment, so two runs on any two hosts produce byte-identical
+files.
 
 Everything recorded here is regenerated from code and is
 simulated-time deterministic: no surface reads a committed file or
@@ -50,8 +51,9 @@ def _generate_figure1(run: RunWriter) -> None:
 
 def _generate_figure2(run: RunWriter) -> None:
     from repro.experiments import figure2
+    from repro.experiments.common import figure2_scale
 
-    rows = figure2.run_figure2(sizes=(3, 5, 9, 17), total_tasks=128)
+    rows = figure2.run_figure2(*figure2_scale())
     run.write_csv("figure2.csv", rows)
     run.write_json(
         "expectations.json", _expectations_payload(figure2.expectations(rows))
@@ -60,8 +62,9 @@ def _generate_figure2(run: RunWriter) -> None:
 
 def _generate_figure8(run: RunWriter) -> None:
     from repro.experiments import figure8
+    from repro.experiments.common import figure8_scale
 
-    rows = figure8.run_figure8(sizes=(2, 4, 8, 16), data_size=128)
+    rows = figure8.run_figure8(*figure8_scale())
     run.write_csv("figure8.csv", rows)
     run.write_json(
         "expectations.json", _expectations_payload(figure8.expectations(rows))
@@ -94,6 +97,21 @@ def _generate_ablation(run: RunWriter) -> None:
                 "chain_ok": without_filter.extra["chain_ok"],
             },
         },
+    )
+
+
+def _generate_validation(run: RunWriter) -> None:
+    """Analytic model vs simulation, and the forced optimism modes."""
+    from repro.experiments.ablation import run_force_modes
+    from repro.experiments.analytic import run_analytic_validation
+
+    run.write_csv(
+        "analytic_validation.csv",
+        run_analytic_validation(sizes=(2, 4, 8, 16, 32), data_size=128),
+    )
+    run.write_csv(
+        "force_modes.csv",
+        run_force_modes(n_nodes=6, increments_per_node=12, think_time=4e-6),
     )
 
 
@@ -329,6 +347,8 @@ SURFACES: tuple[Surface, ...] = (
             "network-cost sensitivity sweeps"),
     Surface("ablation", _generate_ablation,
             "threshold / shootout / echo-blocking ablations"),
+    Surface("validation", _generate_validation,
+            "analytic-model validation + forced optimism modes"),
     Surface("sharded_root", _generate_sharded_root,
             "sharded-root serial-parity hashes + handoff counters"),
     Surface("failover", _generate_failover,

@@ -1,9 +1,9 @@
 """CSV export for experiment rows.
 
-The benchmark harness archives human-readable tables; this module
-additionally emits machine-readable CSV so the series can be re-plotted
-with external tooling.  Rows may be dataclasses, mappings, or plain
-sequences.
+The CLI prints human-readable tables; this module emits
+machine-readable CSV (the golden artifacts, ``--csv`` outputs) so the
+series can be re-plotted with external tooling.  Rows may be
+dataclasses, mappings, or plain sequences.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Plain-text tables for experiment output.
 
-The benchmark harness prints the same rows/series the paper's figures
+``repro reproduce`` prints the same rows/series the paper's figures
 report; this module renders them readably without external dependencies.
 """
 

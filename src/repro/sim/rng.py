@@ -3,8 +3,8 @@
 Every consumer of randomness in a simulation asks for a stream by name
 (``sim.rng.stream("workload")``).  Stream seeds are derived from the
 master seed and the name, so adding a new consumer never perturbs the
-random sequence seen by existing consumers — a property the regression
-benchmarks rely on.
+random sequence seen by existing consumers — a property the committed
+goldens and the pinned golden numbers rely on.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ numbers exactly, so an accidental change to packet sizes, delay
 formulas, or protocol message counts shows up as a loud diff instead of
 silently shifting every figure.
 
-If you *intend* to change the cost model: re-run the full-scale
-benchmarks, update EXPERIMENTS.md, and refresh these constants.
+If you *intend* to change the cost model: re-run
+``repro reproduce --full``, update EXPERIMENTS.md, and refresh these
+constants.
 """
 
 from __future__ import annotations

@@ -149,6 +149,7 @@ class TestDeterminism:
             "figure2",
             "figure8",
             "ablation",
+            "validation",
             "sensitivity",
             "grouping",
             "replication",

@@ -116,18 +116,3 @@ class TestChannelStatsExport:
     def test_fresh_stats_summary_is_all_zero(self):
         summary = channel_stats_summary(ChannelStats())
         assert all(value == 0 for value in summary.values())
-
-
-class TestBenchArchives:
-    def test_figure_csvs_parse(self):
-        """The archived figure CSVs round-trip through the csv module."""
-        import csv
-        import pathlib
-
-        results = pathlib.Path("benchmarks/results")
-        for name in ("figure1.csv", "figure2.csv"):
-            path = results / name
-            if not path.exists():
-                pytest.skip(f"{name} not yet generated")
-            rows = list(csv.DictReader(path.open()))
-            assert rows, name

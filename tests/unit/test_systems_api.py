@@ -116,36 +116,14 @@ class TestWorkloadBase:
 
 
 class TestScales:
-    def test_sweep_scale_env(self, monkeypatch):
-        from repro.experiments.common import (
-            SCALE_FULL,
-            SCALE_QUICK,
-            network_sizes_fig2,
-            sweep_scale,
-        )
-
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert sweep_scale() == SCALE_QUICK
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert sweep_scale() == SCALE_FULL
-        assert network_sizes_fig2(SCALE_FULL)[-1] == 129
-        monkeypatch.setenv("REPRO_FULL", "0")
-        assert sweep_scale() == SCALE_QUICK
-
     def test_quick_sizes_subset_of_full(self):
-        from repro.experiments.common import (
-            SCALE_FULL,
-            SCALE_QUICK,
-            network_sizes_fig2,
-            network_sizes_fig8,
-        )
+        from repro.experiments.common import figure2_scale, figure8_scale
 
-        assert set(network_sizes_fig2(SCALE_QUICK)) <= set(
-            network_sizes_fig2(SCALE_FULL)
-        )
-        assert set(network_sizes_fig8(SCALE_QUICK)) <= set(
-            network_sizes_fig8(SCALE_FULL)
-        )
+        for scale in (figure2_scale, figure8_scale):
+            quick_sizes, quick_work = scale()
+            full_sizes, full_work = scale(full=True)
+            assert set(quick_sizes) <= set(full_sizes)
+            assert quick_work <= full_work
 
 
 class TestCliGrouping:

@@ -151,3 +151,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "REPRODUCTION DIGEST: every paper expectation held" in out
         assert "FIGURE 1" in out and "FIGURE 8" in out
+        for title in ("ABLATION A5", "GROUPING", "SENSITIVITY", "ANALYTIC"):
+            assert title in out
+        assert "REPLICATION" in out
+
+    def test_bad_repro_jobs_is_a_one_line_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        assert main(["figure2", "--sizes", "3", "--tasks", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "repro figure2: REPRO_JOBS must be an integer, got 'abc'"
+        ]
